@@ -33,7 +33,6 @@ from .complete import (
     shirshov_complete,
 )
 from .lie import (
-    NlswElement,
     PbwMonomial,
     StructureTable,
     from_structure_constants,
@@ -85,7 +84,6 @@ __all__ = [
     "is_alsw",
     "shirshov_factorize",
     "lsw_bracket",
-    "NlswElement",
     "nlsw_decompose",
     "PbwMonomial",
     "pbw_basis",

@@ -2,19 +2,20 @@
 
 Exit codes: 0 success, 1 mathematical negative (not a GS basis, words not
 equal), 2 usage/parse error, 3 completion cap reached where completeness
-is required.
+is required, or the reduction step cap reached.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .complete import (
     CompletionConfig,
     STATUS_COMPLETE,
     STATUS_UNIT_IDEAL,
-    is_gs_basis,
+    walk_compositions,
 )
 from .lie import pbw_basis
 from .present import (
@@ -30,7 +31,7 @@ from .present import (
     to_algebra_relations,
     word_problem,
 )
-from .rewrite import RuleSet, irr_words
+from .rewrite import RuleSet, StepLimitExceeded, irr_words
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -57,6 +58,13 @@ def _load(path: str) -> Presentation:
         return parse_presentation(text)
     except PresentationError as exc:
         raise _Usage(f"{path}: {exc}")
+
+
+def _word(p: Presentation, text: str):
+    try:
+        return p.alphabet.word(text)
+    except KeyError as exc:
+        raise _Usage(exc.args[0])
 
 
 def _complete(p: Presentation, max_deg, max_rules=None):
@@ -115,7 +123,7 @@ def run(argv) -> int:
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CappedCompletionError,) as exc:
+    except (CappedCompletionError, StepLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPPED
     except (NonBinomialBasisError, ValueError) as exc:
@@ -147,30 +155,30 @@ def _dispatch(args) -> int:
 
     if args.command == "check":
         rels = [f.monic() for f in to_algebra_relations(p)]
-        if not rels:
-            print("GS basis: yes (0 rules, 0 compositions checked)")
-            return EXIT_OK
-        ok, failures = is_gs_basis(RuleSet(rels), args.max_deg)
-        if ok:
-            total = _composition_count(RuleSet(rels), args.max_deg)
-            print(f"GS basis: yes ({len(rels)} rules, {total} compositions checked)")
+        checked, failures = 0, []
+        for comp, residue, _ in walk_compositions(RuleSet(rels), args.max_deg):
+            if residue is None:
+                continue
+            checked += 1
+            if not residue.is_zero():
+                failures.append((comp.w, residue))
+        if not failures:
+            print(f"GS basis: yes ({len(rels)} rules, {checked} compositions checked)")
             return EXIT_OK
         print(f"GS basis: no ({len(failures)} failing compositions)")
-        for rec in failures:
-            print(f"  w = {rec.composition.w}: residue {rec.residue}")
+        for w, residue in failures:
+            print(f"  w = {w}: residue {residue}")
         return EXIT_NEGATIVE
 
     if args.command == "nf":
-        result = _complete(p, None)
-        w = p.alphabet.word(args.word)
-        print(normal_form_word(w, result))
+        w = _word(p, args.word)
+        print(normal_form_word(w, _complete(p, None)))
         return EXIT_OK
 
     if args.command == "eq":
-        result = _complete(p, None)
-        u = p.alphabet.word(args.w1)
-        v = p.alphabet.word(args.w2)
-        if word_problem(u, v, result):
+        u = _word(p, args.w1)
+        v = _word(p, args.w2)
+        if word_problem(u, v, _complete(p, None)):
             print("equal")
             return EXIT_OK
         print("not equal")
@@ -201,20 +209,16 @@ def _dispatch(args) -> int:
     raise _Usage(f"unknown command {args.command!r}")
 
 
-def _composition_count(S: RuleSet, max_deg) -> int:
-    from .complete import compositions
-
-    total = 0
-    for i in range(len(S)):
-        for j in range(i, len(S)):
-            for comp in compositions(S.rules[i], S.rules[j], i, j):
-                if max_deg is None or len(comp.w) <= max_deg:
-                    total += 1
-    return total
-
-
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``| head``); Python flushes stdout again at
+        # exit, so point it at devnull to keep that flush from failing too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

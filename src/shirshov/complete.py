@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .ncpoly import NcPolynomial, mul_bounded, render_poly
 from .rewrite import RuleSet, reduce_with_steps
@@ -49,7 +49,15 @@ class CompositionRecord:
 class CompletionConfig:
     max_degree: int | None = None  # None: max(6, largest input degree)
     max_rules: int | None = None
-    interreduce: bool = True
+
+
+def _stats(processed: int = 0, skipped: int = 0, added: int = 0, steps: int = 0) -> dict:
+    return {
+        "compositions_processed": processed,
+        "compositions_skipped": skipped,
+        "rules_added": added,
+        "reduction_steps": steps,
+    }
 
 
 @dataclass
@@ -57,7 +65,7 @@ class CompletionResult:
     basis: RuleSet
     status: str
     certificates: list[CompositionRecord]
-    stats: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=_stats)
 
     def to_json_dict(self) -> dict:
         order = sorted(range(len(self.basis)), key=lambda i: deglex_key(self.basis.rules[i].leading()[0]))
@@ -130,6 +138,23 @@ def compositions(s1: NcPolynomial, s2: NcPolynomial, i: int = 0, j: int = 1) -> 
     return out
 
 
+def walk_compositions(S: RuleSet, max_degree: int | None = None, indices=None):
+    """(composition, residue, steps) for every rule pair i <= j of S, in order.
+
+    The residue is None, and nothing is reduced, when w exceeds max_degree.
+    ``indices`` (ascending) restricts the walk to those rules of S.
+    """
+    indices = range(len(S)) if indices is None else indices
+    for a, i in enumerate(indices):
+        for j in indices[a:]:
+            for comp in compositions(S.rules[i], S.rules[j], i, j):
+                if max_degree is not None and len(comp.w) > max_degree:
+                    yield comp, None, 0
+                    continue
+                residue, steps = reduce_with_steps(comp.value, S)
+                yield comp, residue, steps
+
+
 def _is_binomial_shape(f: NcPolynomial) -> bool:
     if len(f.terms) == 1:
         return True
@@ -140,11 +165,13 @@ def _is_binomial_shape(f: NcPolynomial) -> bool:
 
 
 class _Loop:
-    """State of one completion run."""
+    """State of one completion run.
 
-    def __init__(self, relations, cfg: CompletionConfig, enforce_binomial: bool):
-        self.cfg = cfg
-        self.alphabet = relations[0].alphabet
+    ``basis`` is the run's one rule index: it holds every rule ever installed,
+    and retired rules stop matching, so reductions see only ``active`` rules.
+    """
+
+    def __init__(self, enforce_binomial: bool):
         self.basis = RuleSet()
         self.active: set[int] = set()
         self.heap: list = []
@@ -152,26 +179,16 @@ class _Loop:
         self.certificates: list[CompositionRecord] = []
         self.skipped = 0
         self.reduction_steps = 0
-        self.rules_added = 0
         self.unit = False
         self.enforce_binomial = enforce_binomial
 
-    def active_rules(self) -> RuleSet:
-        return RuleSet(self.basis.rules[i] for i in sorted(self.active))
-
     def push_compositions(self, idx: int) -> None:
+        # idx is the newest rule, so its self-pair comes last
         for other in sorted(self.active):
-            if other == idx:
-                continue
             for comp in compositions(self.basis.rules[idx], self.basis.rules[other], idx, other):
-                self._push(comp)
-        for comp in compositions(self.basis.rules[idx], self.basis.rules[idx], idx, idx):
-            self._push(comp)
-
-    def _push(self, comp: Composition) -> None:
-        self.seq += 1
-        key = (deglex_key(comp.w), comp.source, self.seq)
-        heapq.heappush(self.heap, (key, comp))
+                self.seq += 1
+                key = (deglex_key(comp.w), comp.source, self.seq)
+                heapq.heappush(self.heap, (key, comp))
 
     def add_rule(self, f: NcPolynomial) -> None:
         """Monicize, install, spawn compositions, and interreduce older rules."""
@@ -184,21 +201,20 @@ class _Loop:
             raise NonBinomialRuleError(f"non-binomial rule from word relations: {f}")
         idx = self.basis.add(f)
         self.active.add(idx)
-        self.rules_added += 1
         self.push_compositions(idx)
-        if self.cfg.interreduce:
-            stale = [
-                i
-                for i in sorted(self.active)
-                if i != idx and find_inclusions(self.basis.rules[i].leading()[0], lead)
-            ]
-            for i in stale:
-                self.active.discard(i)
-            for i in stale:
-                self.requeue(self.basis.rules[i])
+        stale = [
+            i
+            for i in sorted(self.active)
+            if i != idx and find_inclusions(self.basis.rules[i].leading()[0], lead)
+        ]
+        for i in stale:
+            self.active.discard(i)
+            self.basis.retire(i)
+        for i in stale:
+            self.requeue(self.basis.rules[i])
 
     def requeue(self, f: NcPolynomial) -> None:
-        r, steps = reduce_with_steps(f, self.active_rules())
+        r, steps = reduce_with_steps(f, self.basis)
         self.reduction_steps += steps
         if not r.is_zero():
             self.add_rule(r)
@@ -220,17 +236,14 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
         raise ValueError("max_degree must cover the input relation degrees")
 
     enforce_binomial = all(_is_binomial_shape(f.monic()) for f in relations)
-    loop = _Loop(relations, cfg, enforce_binomial)
+    loop = _Loop(enforce_binomial)
 
     # install inputs one at a time, reducing each against what is already there
     for f in relations:
         if len(f.leading()[0]) == 0:
             loop.unit = True
             break
-        if cfg.interreduce:
-            loop.requeue(f)
-        else:
-            loop.add_rule(f)
+        loop.requeue(f)
 
     def rule_cap_hit() -> bool:
         return cfg.max_rules is not None and len(loop.active) > cfg.max_rules
@@ -243,7 +256,7 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
             if len(comp.w) > max_degree:
                 loop.skipped += 1
                 continue
-            residue, steps = reduce_with_steps(comp.value, loop.active_rules())
+            residue, steps = reduce_with_steps(comp.value, loop.basis)
             loop.reduction_steps += steps
             loop.certificates.append(CompositionRecord(comp, residue))
             if not residue.is_zero():
@@ -256,63 +269,42 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
     # deactivated rules were dropped above, so recheck from scratch until the
     # GS criterion demonstrably holds (or a cap is the honest answer)
     while not loop.unit and not rule_cap_hit():
-        basis = loop.active_rules()
         skipped = 0
-        failed = False
-        rules = basis.rules
-        for i in range(len(rules)):
-            for j in range(i, len(rules)):
-                for comp in compositions(rules[i], rules[j], i, j):
-                    if len(comp.w) > max_degree:
-                        skipped += 1
-                        continue
-                    residue, steps = reduce_with_steps(comp.value, basis)
-                    loop.reduction_steps += steps
-                    if not residue.is_zero():
-                        idx = sorted(loop.active)
-                        rec = Composition((idx[i], idx[j]), comp.overlap, comp.w, comp.value)
-                        loop.certificates.append(CompositionRecord(rec, residue))
-                        loop.add_rule(residue)
-                        failed = True
-                        break
-                if failed:
-                    break
-            if failed:
+        for comp, residue, steps in walk_compositions(loop.basis, max_degree, sorted(loop.active)):
+            if residue is None:
+                skipped += 1
+                continue
+            loop.reduction_steps += steps
+            if not residue.is_zero():
+                # the certificate names the rule pair, not the orientation
+                comp = replace(comp, source=tuple(sorted(comp.source)))
+                loop.certificates.append(CompositionRecord(comp, residue))
+                loop.add_rule(residue)
                 break
-        if not failed:
+        else:
             loop.skipped = skipped
             break
         drain()
 
-    basis = loop.active_rules()
+    basis = RuleSet(loop.basis.rules[i] for i in sorted(loop.active))
     if loop.unit:
         status = STATUS_UNIT_IDEAL
-        basis = RuleSet([NcPolynomial.one(loop.alphabet)])
+        basis = RuleSet([NcPolynomial.one(relations[0].alphabet)])
     elif rule_cap_hit():
         status = STATUS_CAPPED_RULES
     elif loop.skipped:
         status = STATUS_CAPPED_DEGREE
     else:
         status = STATUS_COMPLETE
-    stats = {
-        "compositions_processed": len(loop.certificates),
-        "compositions_skipped": loop.skipped,
-        "rules_added": loop.rules_added,
-        "reduction_steps": loop.reduction_steps,
-    }
+    stats = _stats(len(loop.certificates), loop.skipped, len(loop.basis), loop.reduction_steps)
     return CompletionResult(basis, status, loop.certificates, stats)
 
 
 def is_gs_basis(S: RuleSet, max_degree: int | None = None):
     """(verdict, failing compositions with nonzero residues)."""
-    failures: list[CompositionRecord] = []
-    rules = S.rules
-    for i in range(len(rules)):
-        for j in range(i, len(rules)):
-            for comp in compositions(rules[i], rules[j], i, j):
-                if max_degree is not None and len(comp.w) > max_degree:
-                    continue
-                residue, _ = reduce_with_steps(comp.value, S)
-                if not residue.is_zero():
-                    failures.append(CompositionRecord(comp, residue))
+    failures = [
+        CompositionRecord(comp, residue)
+        for comp, residue, _ in walk_compositions(S, max_degree)
+        if residue is not None and not residue.is_zero()
+    ]
     return (not failures, failures)

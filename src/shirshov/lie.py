@@ -81,18 +81,6 @@ def lsw_bracket(u: Word) -> LieTerm:
     raise AssertionError("an ALSW of length >= 2 always has a proper ALSW suffix")
 
 
-@dataclass(frozen=True)
-class NlswElement:
-    """An ALSW together with its standard bracketing."""
-
-    word: Word
-    bracketing: LieTerm
-
-    @staticmethod
-    def of(u: Word) -> "NlswElement":
-        return NlswElement(u, lsw_bracket(u))
-
-
 def nlsw_decompose(f: NcPolynomial) -> dict[LieTerm, Scalar]:
     """Write an expanded Lie element as a combination of bracketed NLSWs.
 

@@ -23,6 +23,7 @@ from .complete import (
     CompletionConfig,
     CompletionResult,
     STATUS_COMPLETE,
+    _is_binomial_shape,
     shirshov_complete,
 )
 from .lie import StructureTable, from_structure_constants
@@ -31,8 +32,6 @@ from .rewrite import RuleSet, irr_words, reduce
 from .words import Alphabet, Word
 
 KINDS = ("algebra", "monoid", "group", "lie")
-
-DEFAULT_COMPLETION_DEGREE = 6
 
 
 class PresentationError(ValueError):
@@ -255,26 +254,12 @@ def to_algebra_relations(p: Presentation) -> list[NcPolynomial]:
 def complete_presentation(
     p: Presentation, cfg: CompletionConfig | None = None
 ) -> CompletionResult:
-    if cfg is None:
-        cfg = CompletionConfig(max_degree=None)
     rels = to_algebra_relations(p)
     if not rels:
         # no effective relations: the free algebra, already complete
         basis = RuleSet()
         basis.alphabet = p.alphabet
-        return CompletionResult(basis, STATUS_COMPLETE, [], {
-            "compositions_processed": 0,
-            "compositions_skipped": 0,
-            "rules_added": 0,
-            "reduction_steps": 0,
-        })
-    if cfg.max_degree is None:
-        hi = max((max(len(w) for w in f.support()) for f in rels), default=0)
-        cfg = CompletionConfig(
-            max_degree=max(DEFAULT_COMPLETION_DEGREE, hi),
-            max_rules=cfg.max_rules,
-            interreduce=cfg.interreduce,
-        )
+        return CompletionResult(basis, STATUS_COMPLETE, [])
     return shirshov_complete(rels, cfg)
 
 
@@ -284,9 +269,7 @@ def _word_basis(R: CompletionResult) -> RuleSet:
             f"completion status {R.status!r}: normal forms would be unreliable"
         )
     for rule in R.basis:
-        n = len(rule.terms)
-        coeffs = list(rule.terms.values())
-        if not (n == 1 or (n == 2 and coeffs[0] == 1 and coeffs[1] == -1)):
+        if not _is_binomial_shape(rule):
             raise NonBinomialBasisError(f"rule {rule} is not binomial or monomial")
     return R.basis
 

@@ -19,7 +19,16 @@ class TrivialityPreconditionError(ValueError):
 
 
 def _max_steps() -> int:
-    return int(os.environ.get("GS_MAX_STEPS", DEFAULT_MAX_STEPS))
+    raw = os.environ.get("GS_MAX_STEPS")
+    if raw is None:
+        return DEFAULT_MAX_STEPS
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"GS_MAX_STEPS must be a positive integer, got {raw!r}")
+    return n
 
 
 class RuleSet:
@@ -57,6 +66,10 @@ class RuleSet:
         # an empty leading word (unit ideal) is handled directly in leftmost_match
         return idx
 
+    def retire(self, idx: int) -> None:
+        """Stop matching rule idx; it keeps its slot, so no index moves."""
+        self._by_first[self.leads[idx][0]].remove(idx)
+
     # -- subword matching --------------------------------------------
     # Naive multi-pattern scan; words and rule sets stay desk-sized here.
 
@@ -75,9 +88,6 @@ class RuleSet:
             if best is not None:
                 return (pos, best)
         return None
-
-    def is_reducible(self, w: Word) -> bool:
-        return self.leftmost_match(w.letters) is not None
 
     def has_lead_suffix(self, letters: tuple[int, ...]) -> bool:
         """True when some rule lead is a suffix of the given letters."""

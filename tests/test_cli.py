@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from shirshov import catalog
 from shirshov.cli import run
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -175,3 +181,42 @@ class TestUsageErrors:
         # runaway algebra relation instead
         src = "kind: algebra\ngenerators: y x\nrelations:\n  x*x - x*y\n"
         assert run(["irr", write("r.gs", src), "--deg", "3"]) == 3
+
+
+class TestBadInput:
+    def test_unknown_generator_in_word_is_usage_error(self, capsys, catalog_file):
+        # exit 1 would claim the words are "not equal"
+        assert run(["eq", catalog_file("bicyclic"), "p", "x"]) == 2
+        assert "unknown generator 'x'" in capsys.readouterr().err
+        assert run(["nf", catalog_file("bicyclic"), "p x"]) == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_step_cap_names_the_variable(self, capsys, monkeypatch, catalog_file, value):
+        monkeypatch.setenv("GS_MAX_STEPS", value)
+        assert run(["nf", catalog_file("plactic-2"), "b b a a"]) == 2
+        assert "GS_MAX_STEPS" in capsys.readouterr().err
+
+
+class TestRuntimeFailures:
+    def test_step_cap_is_a_cap(self, capsys, monkeypatch, catalog_file):
+        monkeypatch.setenv("GS_MAX_STEPS", "1")
+        assert run(["complete", catalog_file("plactic-3")]) == 3
+        assert capsys.readouterr().err.startswith("error: reduction exceeded 1 steps")
+
+    def test_closed_stdout_exits_cleanly(self, catalog_file):
+        # more output than a pipe buffers, so writes fail once the reader leaves
+        argv = ["irr", catalog_file("chinese-4"), "--deg", "10"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from shirshov.cli import main; main()", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert b"Traceback" not in err
