@@ -107,6 +107,8 @@ def compositions(s1: NcPolynomial, s2: NcPolynomial, i: int = 0, j: int = 1) -> 
     v, lc2 = s2.leading()
     if lc1 != 1 or lc2 != 1:
         raise ValueError("compositions require monic rules")
+    if not len(u) or not len(v):
+        return []  # an empty lead reduces every word: all compositions are trivial
     out: list[Composition] = []
 
     def intersections(f, g, fi, gi):

@@ -10,6 +10,7 @@ than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .complete import CompletionResult, STATUS_COMPLETE, is_gs_basis
 from .ncpoly import (
@@ -223,20 +224,17 @@ def pbw_basis(S, d: int, alphabet: Alphabet | None = None) -> list[PbwMonomial]:
         raise ValueError("degree bound must be >= 0")
 
     atoms = [u for u in irr_words(ruleset, d, alphabet) if len(u) > 0 and is_alsw(u)]
-    # factor sequences must be non-decreasing under the prefix-greater lex order
-    atoms.sort(key=lambda u: (len(u), u.letters))
+    # in this order, the non-decreasing factor sequences are the index-ordered runs
+    atoms.sort(key=cmp_to_key(cmp_lex_prefix_greater))
     out: list[PbwMonomial] = [PbwMonomial(())]
 
-    def extend(prefix: tuple[Word, ...], last: Word | None, remaining: int) -> None:
-        for u in atoms:
-            if len(u) > remaining:
-                continue
-            if last is not None and cmp_lex_prefix_greater(u, last) == -1:
-                continue
-            seq = prefix + (u,)
-            out.append(PbwMonomial(seq))
-            extend(seq, u, remaining - len(u))
+    def extend(prefix: tuple[Word, ...], first: int, remaining: int) -> None:
+        for i, u in enumerate(atoms[first:], first):
+            if len(u) <= remaining:
+                seq = prefix + (u,)
+                out.append(PbwMonomial(seq))
+                extend(seq, i, remaining - len(u))
 
-    extend((), None, d)
-    out.sort(key=lambda m: (0, ()) if not m.factors else deglex_key(m.concatenation()))
+    extend((), 0, d)
+    out.sort(key=lambda m: (m.degree, sum((u.letters for u in m.factors), ())))
     return out

@@ -155,9 +155,6 @@ class NcPolynomial:
     def coefficient(self, w: Word) -> Scalar:
         return self.terms.get(w, 0)
 
-    def support(self):
-        return self.terms.keys()
-
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "NcPolynomial") -> None:
@@ -364,10 +361,6 @@ def parse_poly(text: str, alphabet: Alphabet, field=Fraction) -> NcPolynomial:
     return NcPolynomial(alphabet, terms)
 
 
-def _scalar_str(c) -> str:
-    return str(c)
-
-
 def render_poly(f: NcPolynomial) -> str:
     """Inverse of parse_poly; canonical descending term order."""
     if f.is_zero():
@@ -377,11 +370,11 @@ def render_poly(f: NcPolynomial) -> str:
         neg = _is_negative(c)
         mag = -c if neg else c
         if len(w) == 0:
-            body = _scalar_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(w.names())
         else:
-            body = _scalar_str(mag) + "*" + "*".join(w.names())
+            body = str(mag) + "*" + "*".join(w.names())
         pieces.append(("-" if neg else "+", body))
     first_sign, first_body = pieces[0]
     out = ("-" if first_sign == "-" else "") + first_body

@@ -404,7 +404,10 @@ CATALOG_NAMES = (
 
 
 def _rank(name: str, cap: int) -> int:
-    n = int(name.rsplit("-", 1)[1])
+    try:
+        n = int(name.rsplit("-", 1)[1])
+    except ValueError:
+        raise KeyError(f"unknown catalog entry {name!r}") from None
     if not 1 <= n <= cap:
         raise KeyError(f"rank out of range in {name!r}")
     return n

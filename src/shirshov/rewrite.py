@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from .ncpoly import NcPolynomial, mul_bounded
+from .ncpoly import NcPolynomial
 from .words import Alphabet, Word, cmp_deglex, deglex_key
 
 DEFAULT_MAX_STEPS = 10**7
@@ -29,6 +29,10 @@ def _max_steps() -> int:
     if n < 1:
         raise ValueError(f"GS_MAX_STEPS must be a positive integer, got {raw!r}")
     return n
+
+
+def _first(lead: tuple[int, ...]) -> int | None:
+    return lead[0] if lead else None
 
 
 class RuleSet:
@@ -61,32 +65,26 @@ class RuleSet:
         idx = len(self.rules)
         self.rules.append(rule)
         self.leads.append(lead.letters)
-        if lead.letters:
-            self._by_first.setdefault(lead.letters[0], []).append(idx)
-        # an empty leading word (unit ideal) is handled directly in leftmost_match
+        self._by_first.setdefault(_first(lead.letters), []).append(idx)
         return idx
 
     def retire(self, idx: int) -> None:
         """Stop matching rule idx; it keeps its slot, so no index moves."""
-        self._by_first[self.leads[idx][0]].remove(idx)
+        self._by_first[_first(self.leads[idx])].remove(idx)
 
     # -- subword matching --------------------------------------------
     # Naive multi-pattern scan; words and rule sets stay desk-sized here.
 
     def leftmost_match(self, letters: tuple[int, ...]):
         """(position, rule index) of the leftmost match, lowest index first."""
-        for lead_idx, lead in enumerate(self.leads):
-            if not lead:
-                return (0, lead_idx)
+        unit = self._by_first.get(None)
+        if unit:
+            return (0, unit[0])
         for pos, first in enumerate(letters):
-            best = None
             for idx in self._by_first.get(first, ()):
                 lead = self.leads[idx]
                 if letters[pos : pos + len(lead)] == lead:
-                    best = idx
-                    break
-            if best is not None:
-                return (pos, best)
+                    return (pos, idx)
         return None
 
     def has_lead_suffix(self, letters: tuple[int, ...]) -> bool:
@@ -102,40 +100,40 @@ def reduce_with_steps(f: NcPolynomial, S: RuleSet, max_steps: int | None = None)
 
     Strategy: rewrite the deg-lex-greatest reducible word of the support, at
     its leftmost reducible position, with the lowest-index matching rule.
+    Each word is taken once, from the top: a rewrite only adds lower words.
     """
     if max_steps is None:
         max_steps = _max_steps()
-    if not len(S) or f.is_zero():
-        return f, 0
     alphabet = f.alphabet
-    terms = dict(f.terms)
+    terms = {deglex_key(w): c for w, c in f.terms.items()}
+    final = {}
     steps = 0
-    while True:
-        hit = None
-        for w in sorted(terms, key=deglex_key, reverse=True):
-            m = S.leftmost_match(w.letters)
-            if m is not None:
-                hit = (w, m)
-                break
-        if hit is None:
-            break
-        w, (pos, ridx) = hit
-        rule = S.rules[ridx]
+    while terms:
+        key = max(terms)
+        w = key[1]
+        m = S.leftmost_match(w)
+        if m is None:
+            final[w] = terms.pop(key)
+            continue
+        pos, ridx = m
         lead_len = len(S.leads[ridx])
         a = w[:pos]
         b = w[pos + lead_len:]
-        c = terms[w]
-        replacement = mul_bounded(a, rule, b).scale(c)
-        for u, cu in replacement.terms.items():
-            nv = terms.get(u, 0) - cu
+        c = terms[key]
+        for u, cu in S.rules[ridx].terms.items():
+            v = a + u.letters + b
+            vkey = (len(v), v)
+            nv = terms.get(vkey, 0) - cu * c
             if nv == 0:
-                terms.pop(u, None)
+                terms.pop(vkey, None)
             else:
-                terms[u] = nv
+                terms[vkey] = nv
         steps += 1
         if steps > max_steps:
             raise StepLimitExceeded(f"reduction exceeded {max_steps} steps")
-    return NcPolynomial(alphabet, terms), steps
+    if not steps:
+        return f, 0
+    return NcPolynomial(alphabet, {Word(alphabet, w): c for w, c in final.items()}), steps
 
 
 def reduce(f: NcPolynomial, S: RuleSet) -> NcPolynomial:
@@ -169,13 +167,11 @@ def irr_words(S: RuleSet, d: int, alphabet: Alphabet | None = None) -> list[Word
         alphabet = S.alphabet
     if alphabet is None:
         raise ValueError("empty rule set needs an explicit alphabet")
-    if any(not lead for lead in S.leads):
+    if S.leftmost_match(()) is not None:
         return []  # unit ideal: empty lead reduces everything
     k = len(alphabet)
-    out: list[Word] = []
+    out: list[Word] = [alphabet.empty()]
     level: list[tuple[int, ...]] = [()]
-    if not S.has_lead_suffix(()):
-        out.append(alphabet.empty())
     for _ in range(d):
         nxt = []
         for w in level:

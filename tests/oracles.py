@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from shirshov import Alphabet, Word, cmp_lex_prefix_greater
+from shirshov import Alphabet, NcPolynomial, Word, cmp_lex_prefix_greater, mul_bounded
+from shirshov.words import deglex_key
 
 
 def brute_intersections(u: Word, v: Word):
@@ -149,8 +150,6 @@ def binomial(n: int, k: int) -> int:
 
 def random_ideal_element(rng, basis, alphabet, max_degree: int, n_terms: int):
     """A random combination sum alpha_i a_i s_i b_i of total degree <= max_degree."""
-    from shirshov import NcPolynomial, mul_bounded
-
     total = NcPolynomial.zero(alphabet)
     k = len(alphabet)
     for _ in range(n_terms):
@@ -165,3 +164,39 @@ def random_ideal_element(rng, basis, alphabet, max_degree: int, n_terms: int):
         alpha = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
         total = total + mul_bounded(a, s, b).scale(alpha)
     return total
+
+
+def reference_reduce_with_steps(f: NcPolynomial, S):
+    """Reduction by the classical strategy, one full pass per rewrite.
+
+    After every step the whole support is sorted again and matched from the
+    top; the deg-lex-greatest reducible word is rewritten at its leftmost
+    match with the lowest-index rule, by subtracting c·a·s·b built as a
+    polynomial.  Returns (normal form, step count).
+    """
+    if not len(S) or f.is_zero():
+        return f, 0
+    terms = dict(f.terms)
+    steps = 0
+    while True:
+        hit = None
+        for w in sorted(terms, key=deglex_key, reverse=True):
+            m = S.leftmost_match(w.letters)
+            if m is not None:
+                hit = (w, m)
+                break
+        if hit is None:
+            break
+        w, (pos, ridx) = hit
+        lead_len = len(S.leads[ridx])
+        a = w[:pos]
+        b = w[pos + lead_len:]
+        replacement = mul_bounded(a, S.rules[ridx], b).scale(terms[w])
+        for u, cu in replacement.terms.items():
+            nv = terms.get(u, 0) - cu
+            if nv == 0:
+                terms.pop(u, None)
+            else:
+                terms[u] = nv
+        steps += 1
+    return NcPolynomial(f.alphabet, terms), steps

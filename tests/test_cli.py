@@ -70,6 +70,14 @@ class TestCheck:
         assert code == 1
         assert "GS basis: no" in capsys.readouterr().out
 
+    def test_unit_ideal_yes(self, capsys, write):
+        src = "kind: algebra\ngenerators: x y\nrelations:\n  1\n"
+        assert run(["complete", write("one.gs", src)]) == 0
+        assert capsys.readouterr().out.startswith("status: unit_ideal")
+        code = run(["check", write("one.gs", src)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("GS basis: yes")
+
 
 class TestComplete:
     def test_json_output(self, capsys, catalog_file):

@@ -117,6 +117,7 @@ class TestShirshovComplete:
         )
         assert res2.status == STATUS_UNIT_IDEAL
         assert res.status == STATUS_COMPLETE
+        assert is_gs_basis(res2.basis) == (True, [])
 
     def test_degree_cap_reported(self):
         # x*x -> x*y spawns the infinite family x y^n x -> x y^(n+1);

@@ -8,6 +8,8 @@ from shirshov import (
     Alphabet,
     StructureTable,
     Word,
+    catalog,
+    complete_presentation,
     expand_bracket,
     from_structure_constants,
     is_alsw,
@@ -330,3 +332,31 @@ class TestPbwBasis:
         concats = sorted(m.concatenation().letters for m in out if m.factors)
         words = sorted(w.letters for n in range(1, 6) for w in all_words(BA, n))
         assert concats == words
+
+    @pytest.mark.parametrize("name, d", [("free-2", 7), ("sl2", 5), ("heisenberg-3", 5)])
+    def test_order_matches_factorization_oracle(self, name, d):
+        # every word of degree <= d with all its monotone ALSW factors in
+        # Irr(S), in deg-lex order of the word: the PBW list, in order
+        if name == "free-2":
+            S, alphabet, leads = None, BA, []
+        else:
+            p = catalog(name)
+            S = complete_presentation(p)
+            alphabet, leads = p.alphabet, S.basis.leads
+
+        def irreducible(u):
+            s = u.letters
+            return not any(
+                s[i : i + len(lead)] == lead
+                for lead in leads
+                for i in range(len(s) - len(lead) + 1)
+            )
+
+        expected = [
+            tuple(factors)
+            for n in range(d + 1)
+            for w in all_words(alphabet, n)
+            for factors in all_monotone_alsw_factorizations(w)
+            if all(irreducible(u) for u in factors)
+        ]
+        assert [m.factors for m in pbw_basis(S, d, alphabet)] == expected

@@ -114,8 +114,9 @@ class TestCatalog:
             catalog("braid-3")
 
     def test_rank_cap(self):
-        with pytest.raises(KeyError):
-            catalog("plactic-5")
+        for name in ("plactic-5", "plactic-x"):
+            with pytest.raises(KeyError):
+                catalog(name)
 
     def test_all_entries_complete(self):
         for name in ("bicyclic", "plactic-2", "plactic-3", "chinese-2", "chinese-3",

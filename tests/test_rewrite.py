@@ -12,15 +12,17 @@ from shirshov import (
     irr_words,
     is_trivial_mod,
     parse_poly,
+    prime_field,
     reduce,
 )
 from shirshov.rewrite import TrivialityPreconditionError, reduce_with_steps
 from shirshov.words import deglex_key
 
-from oracles import all_words, random_ideal_element
+from oracles import all_words, random_ideal_element, reference_reduce_with_steps
 
 FEH = Alphabet(("f", "e", "h"))
 AB = Alphabet(("x", "y"))
+XYZ = Alphabet(("x", "y", "z"))
 BA = Alphabet(("a", "b"))
 
 
@@ -163,10 +165,48 @@ class TestIrrWords:
         assert [w.letters for w in irr_words(S, 6)] == expected
 
 
-def _random_poly(rng, alphabet, max_deg=4):
+class TestReduceAgainstReference:
+    """The top-down walk must take the same steps as the reference loop,
+    which sorts and matches the whole support again after every rewrite."""
+
+    @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
+    @pytest.mark.parametrize("retire", [False, True], ids=["raw", "one_retired"])
+    def test_same_normal_form_and_steps(self, field, retire):
+        rng = random.Random(4099)
+        total_steps = 0
+        for _ in range(150):
+            # raw monic inputs: overlapping leads, not a GS basis
+            n_rules = rng.randint(2, 4)
+            rules = []
+            while len(rules) < n_rules:
+                g = _random_poly(rng, XYZ, 3, field)
+                if not g.is_zero() and len(g.leading()[0]) > 0:
+                    rules.append(g.monic())
+            S = RuleSet(rules)
+            if retire:
+                S.retire(rng.randrange(len(S)))
+            f = _random_poly(rng, XYZ, 6, field)
+            got, steps = reduce_with_steps(f, S)
+            want, want_steps = reference_reduce_with_steps(f, S)
+            assert steps == want_steps
+            assert list(got.terms.items()) == list(want.terms.items())
+            if not steps:
+                assert got is f
+            total_steps += steps
+        assert total_steps > 0
+
+    def test_unit_rule(self):
+        S = RuleSet([parse_poly("x*y - y", AB), NcPolynomial.one(AB)])
+        assert S.leftmost_match((1, 1)) == (0, 1)
+        assert S.leftmost_match(()) == (0, 1)
+        assert irr_words(S, 3) == []
+        assert reduce(parse_poly("y*y + 3", AB), S).is_zero()
+
+
+def _random_poly(rng, alphabet, max_deg=4, field=Fraction):
     terms = {}
     for _ in range(rng.randrange(1, 5)):
         n = rng.randrange(max_deg + 1)
         word = Word(alphabet, tuple(rng.randrange(len(alphabet)) for _ in range(n)))
-        terms[word] = Fraction(rng.randint(-4, 4))
+        terms[word] = field(rng.randint(-4, 4))
     return NcPolynomial(alphabet, terms)
