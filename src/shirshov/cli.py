@@ -31,7 +31,7 @@ from .present import (
     to_algebra_relations,
     word_problem,
 )
-from .rewrite import RuleSet, StepLimitExceeded, irr_words
+from .rewrite import RuleSet, StepLimitExceeded, _max_steps, irr_words
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -119,6 +119,7 @@ def run(argv) -> int:
         return EXIT_USAGE
 
     try:
+        _max_steps()  # a bad GS_MAX_STEPS is a usage error for every subcommand
         return _dispatch(args)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)

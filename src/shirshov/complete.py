@@ -10,8 +10,9 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from .ncpoly import NcPolynomial, mul_bounded, render_poly
+from .ncpoly import NcPolynomial, render_poly
 from .rewrite import RuleSet, reduce_with_steps
 from .words import Overlap, Word, deglex_key, find_inclusions, find_intersections
 
@@ -31,12 +32,30 @@ class NonBinomialRuleError(AssertionError):
 
 @dataclass(frozen=True)
 class Composition:
-    """An S-polynomial of two rules relative to an lcm w of their leads."""
+    """An S-polynomial of two rules relative to an lcm w of their leads.
+
+    ``rules`` is the pair (f, g) in the overlap's orientation.  The value,
+    f·b - a·g for an intersection and f - a·g·b for an inclusion, is built
+    the first time it is read: compositions over the degree cap, or of a
+    retired rule, are never reduced and never need it.
+    """
 
     source: tuple[int, int]
     overlap: Overlap
     w: Word
-    value: NcPolynomial
+    rules: tuple[NcPolynomial, NcPolynomial] = field(compare=False, repr=False)
+
+    @cached_property
+    def value(self) -> NcPolynomial:
+        f, g = self.rules
+        a, b = self.overlap.a.letters, self.overlap.b.letters
+        fb, gb = (b, ()) if self.overlap.kind == "intersection" else ((), b)
+        terms = {u.letters + fb: c for u, c in f.terms.items()}
+        for v, c in g.terms.items():
+            key = a + v.letters + gb
+            terms[key] = terms.get(key, 0) - c
+        alphabet = f.alphabet
+        return NcPolynomial(alphabet, {Word(alphabet, k): c for k, c in terms.items()})
 
 
 @dataclass(frozen=True)
@@ -111,32 +130,22 @@ def compositions(s1: NcPolynomial, s2: NcPolynomial, i: int = 0, j: int = 1) -> 
         return []  # an empty lead reduces every word: all compositions are trivial
     out: list[Composition] = []
 
-    def intersections(f, g, fi, gi):
-        fw = f.leading()[0]
-        gw = g.leading()[0]
-        for ov in find_intersections(fw, gw):
-            # f·b - a·g, leading words cancel at w = fw·b = a·gw
-            value = mul_bounded(fw.alphabet.empty(), f, ov.b) - mul_bounded(ov.a, g, gw.alphabet.empty())
-            out.append(Composition((fi, gi), ov, ov.w, value))
+    def add(find, f, g, fi, gi):
+        # leading words cancel at w = fw·b = a·gw, or at w = fw = a·gw·b
+        for ov in find(f.leading()[0], g.leading()[0]):
+            out.append(Composition((fi, gi), ov, ov.w, (f, g)))
 
-    def inclusions(f, g, fi, gi):
-        fw = f.leading()[0]
-        gw = g.leading()[0]
-        for ov in find_inclusions(fw, gw):
-            value = f - mul_bounded(ov.a, g, ov.b)
-            out.append(Composition((fi, gi), ov, ov.w, value))
-
-    intersections(s1, s2, i, j)
+    add(find_intersections, s1, s2, i, j)
     if i != j:
-        intersections(s2, s1, j, i)
-        inclusions(s1, s2, i, j)
-        inclusions(s2, s1, j, i)
+        add(find_intersections, s2, s1, j, i)
+        add(find_inclusions, s1, s2, i, j)
+        add(find_inclusions, s2, s1, j, i)
         if u == v:
             # equal leads of distinct rules: inclusion with a = b = 1
             ov = Overlap("inclusion", u.alphabet.empty(), u.alphabet.empty(), u)
-            out.append(Composition((i, j), ov, u, s1 - s2))
+            out.append(Composition((i, j), ov, u, (s1, s2)))
     else:
-        inclusions(s1, s2, i, j)
+        add(find_inclusions, s1, s2, i, j)
     return out
 
 

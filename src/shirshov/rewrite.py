@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 from .ncpoly import NcPolynomial
 from .words import Alphabet, Word, cmp_deglex, deglex_key
@@ -42,6 +43,7 @@ class RuleSet:
         self.rules: list[NcPolynomial] = []
         self.leads: list[tuple[int, ...]] = []
         self._by_first: dict[int, list[int]] = {}
+        self._by_len: dict[int, Counter] = {}  # active leads, by length, with multiplicity
         self.alphabet: Alphabet | None = None
         for r in rules:
             self.add(r)
@@ -66,11 +68,14 @@ class RuleSet:
         self.rules.append(rule)
         self.leads.append(lead.letters)
         self._by_first.setdefault(_first(lead.letters), []).append(idx)
+        self._by_len.setdefault(len(lead), Counter())[lead.letters] += 1
         return idx
 
     def retire(self, idx: int) -> None:
         """Stop matching rule idx; it keeps its slot, so no index moves."""
-        self._by_first[_first(self.leads[idx])].remove(idx)
+        lead = self.leads[idx]
+        self._by_first[_first(lead)].remove(idx)
+        self._by_len[len(lead)] -= Counter((lead,))  # drops the lead at count 0
 
     # -- subword matching --------------------------------------------
     # Naive multi-pattern scan; words and rule sets stay desk-sized here.
@@ -88,9 +93,10 @@ class RuleSet:
         return None
 
     def has_lead_suffix(self, letters: tuple[int, ...]) -> bool:
-        """True when some rule lead is a suffix of the given letters."""
-        for lead in self.leads:
-            if len(lead) <= len(letters) and letters[len(letters) - len(lead):] == lead:
+        """True when some active rule lead is a suffix of the given letters."""
+        n = len(letters)
+        for k, leads in self._by_len.items():
+            if k <= n and letters[n - k:] in leads:
                 return True
         return False
 

@@ -200,3 +200,42 @@ def reference_reduce_with_steps(f: NcPolynomial, S):
                 terms[u] = nv
         steps += 1
     return NcPolynomial(f.alphabet, terms), steps
+
+
+def reference_composition_value(f: NcPolynomial, g: NcPolynomial, kind: str, a: Word, b: Word):
+    """f·b - a·g for an intersection, f - a·g·b for an inclusion, built as
+    polynomials with mul_bounded and subtraction."""
+    one = f.alphabet.empty()
+    if kind == "intersection":
+        return mul_bounded(one, f, b) - mul_bounded(a, g, one)
+    return f - mul_bounded(a, g, b)
+
+
+def reference_compositions(s1: NcPolynomial, s2: NcPolynomial, i: int, j: int):
+    """(source, kind, a, b, w, value) for every composition of a monic pair,
+    in the library's order, with overlaps found by position scan: the
+    intersections of (s1, s2), then for i != j those of (s2, s1), the
+    inclusions both ways and the equal-lead case; for i == j the
+    self-inclusions.  Intersections come by |b| ascending, inclusions by |a|
+    ascending."""
+    u, v = s1.leading()[0], s2.leading()[0]
+    alphabet = s1.alphabet
+    out = []
+
+    def add(f, g, fi, gi, kind, pairs):
+        fw = f.leading()[0].letters
+        for a, b in pairs:
+            w = fw + b if kind == "intersection" else fw
+            value = reference_composition_value(f, g, kind, Word(alphabet, a), Word(alphabet, b))
+            out.append(((fi, gi), kind, a, b, w, value))
+
+    add(s1, s2, i, j, "intersection", reversed(brute_intersections(u, v)))
+    if i != j:
+        add(s2, s1, j, i, "intersection", reversed(brute_intersections(v, u)))
+        add(s1, s2, i, j, "inclusion", brute_inclusions(u, v))
+        add(s2, s1, j, i, "inclusion", brute_inclusions(v, u))
+        if u == v:
+            add(s1, s2, i, j, "inclusion", [((), ())])
+    else:
+        add(s1, s2, i, j, "inclusion", brute_inclusions(u, v))
+    return out

@@ -204,6 +204,14 @@ class TestBadInput:
         assert run(["nf", catalog_file("plactic-2"), "b b a a"]) == 2
         assert "GS_MAX_STEPS" in capsys.readouterr().err
 
+    def test_bad_step_cap_without_a_reduction(self, capsys, monkeypatch):
+        # catalog reduces nothing, but the variable is still checked up front
+        monkeypatch.setenv("GS_MAX_STEPS", "abc")
+        assert run(["catalog", "bicyclic"]) == 2
+        captured = capsys.readouterr()
+        assert "GS_MAX_STEPS" in captured.err
+        assert captured.out == ""
+
 
 class TestRuntimeFailures:
     def test_step_cap_is_a_cap(self, capsys, monkeypatch, catalog_file):

@@ -1,15 +1,20 @@
 import json
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from shirshov import (
     Alphabet,
     CompletionConfig,
+    NcPolynomial,
     RuleSet,
+    Word,
     compositions,
     is_gs_basis,
     parse_poly,
+    prime_field,
     reduce,
     shirshov_complete,
 )
@@ -18,9 +23,10 @@ from shirshov.complete import (
     STATUS_CAPPED_DEGREE,
     STATUS_COMPLETE,
     STATUS_UNIT_IDEAL,
+    walk_compositions,
 )
 
-from oracles import random_ideal_element
+from oracles import random_ideal_element, reference_compositions
 
 FEH = Alphabet(("f", "e", "h"))
 PQ = Alphabet(("q", "p"))
@@ -82,6 +88,79 @@ class TestCompositions:
                         from shirshov import cmp_deglex
 
                         assert cmp_deglex(c.value.leading()[0], c.w) == -1
+
+
+def _random_rule(rng, alphabet, field, lead=None):
+    """A monic rule: a random nonempty lead (or the given one) plus up to
+    three random terms below it."""
+    k = len(alphabet)
+    if lead is None:
+        lead = tuple(rng.randrange(k) for _ in range(rng.randint(1, 4)))
+    terms = {Word(alphabet, lead): field(1)}
+    for _ in range(rng.randrange(4)):
+        n = rng.randrange(len(lead))
+        terms[Word(alphabet, tuple(rng.randrange(k) for _ in range(n)))] = field(rng.randint(-3, 3))
+    return NcPolynomial(alphabet, terms)
+
+
+class TestCompositionsAgainstReference:
+    """Values built in one pass over letter tuples, on first read, must equal
+    the polynomial formula, for the same compositions in the same order."""
+
+    @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
+    def test_same_sequence_and_values(self, field):
+        rng = random.Random(4127)
+        AB = Alphabet(("x", "y"))
+        seen = {"intersection": 0, "inclusion": 0, "self": 0, "equal_leads": 0}
+        for trial in range(300):
+            f = _random_rule(rng, AB, field)
+            if trial % 3 == 0:
+                g = _random_rule(rng, AB, field, lead=f.leading()[0].letters)
+            else:
+                g = _random_rule(rng, AB, field)
+            for s1, s2, i, j in ((f, g, 0, 1), (g, f, 3, 2), (f, f, 0, 0), (g, g, 1, 1)):
+                comps = compositions(s1, s2, i, j)
+                got = [
+                    (c.source, c.overlap.kind, c.overlap.a.letters, c.overlap.b.letters,
+                     c.w.letters, list(c.value.terms.items()))
+                    for c in comps
+                ]
+                want = [
+                    (source, kind, a, b, w, list(value.terms.items()))
+                    for source, kind, a, b, w, value in reference_compositions(s1, s2, i, j)
+                ]
+                assert got == want
+                for c in comps:
+                    # the verification pass certifies under the sorted pair
+                    moved = replace(c, source=tuple(sorted(c.source)))
+                    assert moved.rules == c.rules and moved.value == c.value
+                for entry in got:
+                    seen[entry[1]] += 1
+                    if i == j:
+                        seen["self"] += 1
+                    elif entry[2] == entry[3] == ():
+                        seen["equal_leads"] += 1
+        assert min(seen.values()) > 50, seen
+
+    def test_no_value_over_the_cap(self, monkeypatch):
+        # every w of these rules has degree >= 3; at cap 2 nothing is reduced,
+        # so no composition value, and no polynomial at all, is built
+        S = RuleSet(non_jacobi_relations() + [parse_poly("z*z*y - x", XYZ)])
+        built = []
+        init = NcPolynomial.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NcPolynomial, "__init__", counting_init)
+        walked = list(walk_compositions(S, 2))
+        assert {comp.overlap.kind for comp, _, _ in walked} == {"intersection", "inclusion"}
+        assert all(residue is None and steps == 0 for _, residue, steps in walked)
+        assert is_gs_basis(S, 2) == (True, [])
+        assert built == []
+        assert walked[0][0].value is not None
+        assert built
 
 
 class TestShirshovComplete:

@@ -164,6 +164,38 @@ class TestIrrWords:
                     expected.append(w.letters)
         assert [w.letters for w in irr_words(S, 6)] == expected
 
+    def test_retired_lead_no_longer_excludes(self):
+        S = RuleSet([parse_poly("y*x - x*y", AB), parse_poly("y*y - x", AB)])
+        S.retire(1)
+        assert S.leftmost_match((1, 1)) is None
+        assert [str(w) for w in irr_words(S, 2)] == ["1", "x", "y", "xx", "xy", "yy"]
+
+    def test_retired_rules_against_brute_force(self):
+        # random leads over two letters, equal leads included, some retired;
+        # Irr(S) is every word with no active lead as a subword
+        rng = random.Random(4111)
+        for _ in range(60):
+            leads = [
+                tuple(rng.randrange(2) for _ in range(rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 5))
+            ]
+            S = RuleSet(NcPolynomial.monomial(Word(AB, lead)) for lead in leads)
+            retired = rng.sample(range(len(leads)), rng.randint(0, len(leads)))
+            for idx in retired:
+                S.retire(idx)
+            active = [lead for i, lead in enumerate(leads) if i not in retired]
+            expected = [
+                w.letters
+                for n in range(6)
+                for w in all_words(AB, n)
+                if not any(
+                    w.letters[s : s + len(lead)] == lead
+                    for lead in active
+                    for s in range(len(w) - len(lead) + 1)
+                )
+            ]
+            assert [w.letters for w in irr_words(S, 5)] == expected
+
 
 class TestReduceAgainstReference:
     """The top-down walk must take the same steps as the reference loop,
