@@ -89,8 +89,8 @@ def _build_parser() -> _ArgumentParser:
     k = with_file("check", help="GS-basis verdict for the relations as given")
     k.add_argument("--max-deg", type=int, default=None)
 
-    n = with_file("nf", help="normal form of a word")
-    n.add_argument("word")
+    n = with_file("nf", help="normal forms of words, one per line, from one completion")
+    n.add_argument("words", nargs="+")
 
     e = with_file("eq", help="decide whether two words are equal")
     e.add_argument("w1")
@@ -172,8 +172,9 @@ def _dispatch(args) -> int:
         return EXIT_NEGATIVE
 
     if args.command == "nf":
-        w = _word(p, args.word)
-        print(normal_form_word(w, _complete(p, None)))
+        words = [_word(p, text) for text in args.words]
+        result = _complete(p, None)
+        print("\n".join(str(normal_form_word(w, result)) for w in words))
         return EXIT_OK
 
     if args.command == "eq":

@@ -28,8 +28,8 @@ from .complete import (
 )
 from .lie import StructureTable, from_structure_constants
 from .ncpoly import NcPolynomial, PolyParseError, parse_poly
-from .rewrite import RuleSet, irr_words, reduce
-from .words import Alphabet, Word
+from .rewrite import RuleSet, irr_words, rewrite_word
+from .words import Alphabet, AlphabetMismatchError, Word
 
 KINDS = ("algebra", "monoid", "group", "lie")
 
@@ -277,12 +277,10 @@ def _word_basis(R: CompletionResult) -> RuleSet:
 def normal_form_word(u: Word, R: CompletionResult):
     """Unique irreducible representative of u's class, or ZERO on absorption."""
     basis = _word_basis(R)
-    nf = reduce(NcPolynomial.monomial(u), basis)
-    if nf.is_zero():
-        return ZERO
-    (w, c), = [nf.leading()]
-    assert c == 1 and len(nf.terms) == 1, "binomial rules preserve single words"
-    return w
+    if basis.alphabet is not None and u.alphabet != basis.alphabet:
+        raise AlphabetMismatchError("word and basis over different alphabets")
+    letters = rewrite_word(u.letters, basis)
+    return ZERO if letters is None else Word(u.alphabet, letters)
 
 
 def word_problem(u: Word, v: Word, R: CompletionResult) -> bool:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from collections import Counter
 
 from .ncpoly import NcPolynomial
 from .words import Alphabet, Word, cmp_deglex, deglex_key
@@ -43,7 +42,8 @@ class RuleSet:
         self.rules: list[NcPolynomial] = []
         self.leads: list[tuple[int, ...]] = []
         self._by_first: dict[int, list[int]] = {}
-        self._by_len: dict[int, Counter] = {}  # active leads, by length, with multiplicity
+        # active leads by length, each with its rule indices in ascending order
+        self._by_len: dict[int, dict[tuple[int, ...], list[int]]] = {}
         self.alphabet: Alphabet | None = None
         for r in rules:
             self.add(r)
@@ -68,14 +68,19 @@ class RuleSet:
         self.rules.append(rule)
         self.leads.append(lead.letters)
         self._by_first.setdefault(_first(lead.letters), []).append(idx)
-        self._by_len.setdefault(len(lead), Counter())[lead.letters] += 1
+        self._by_len.setdefault(len(lead), {}).setdefault(lead.letters, []).append(idx)
         return idx
 
     def retire(self, idx: int) -> None:
         """Stop matching rule idx; it keeps its slot, so no index moves."""
         lead = self.leads[idx]
         self._by_first[_first(lead)].remove(idx)
-        self._by_len[len(lead)] -= Counter((lead,))  # drops the lead at count 0
+        leads = self._by_len[len(lead)]
+        leads[lead].remove(idx)
+        if not leads[lead]:
+            del leads[lead]
+            if not leads:
+                del self._by_len[len(lead)]
 
     # -- subword matching --------------------------------------------
     # Naive multi-pattern scan; words and rule sets stay desk-sized here.
@@ -144,6 +149,47 @@ def reduce_with_steps(f: NcPolynomial, S: RuleSet, max_steps: int | None = None)
 
 def reduce(f: NcPolynomial, S: RuleSet) -> NcPolynomial:
     return reduce_with_steps(f, S)[0]
+
+
+def rewrite_word(letters: tuple[int, ...], S: RuleSet, max_steps: int | None = None):
+    """Normal form of a word: its letters, or None when it reduces to zero.
+
+    S must be complete, with rules ``lead - tail`` and ``lead`` only. Letters
+    move from the input onto an output stack that stays irreducible, so after
+    each push only a suffix can be a lead. A lead found there is popped and
+    the tail's letters go back onto the input, to be read again; a monomial
+    rule absorbs the word. A complete basis is confluent (Composition-Diamond
+    lemma), so this order of rewrites reaches the normal form ``reduce``
+    reaches. Each rewrite counts as one step against max_steps.
+    """
+    if max_steps is None:
+        max_steps = _max_steps()
+    by_len = S._by_len
+    if 0 in by_len:
+        return None  # an active empty lead: the unit ideal
+    todo = list(reversed(letters))
+    out: list[int] = []
+    steps = 0
+    while todo:
+        out.append(todo.pop())
+        n = len(out)
+        for k, leads in by_len.items():
+            idxs = leads.get(tuple(out[n - k:])) if k <= n else None
+            if idxs:
+                break
+        else:
+            continue
+        steps += 1
+        if steps > max_steps:
+            raise StepLimitExceeded(f"reduction exceeded {max_steps} steps")
+        terms = iter(S.rules[idxs[0]].terms)
+        next(terms)  # the lead
+        tail = next(terms, None)
+        if tail is None:
+            return None
+        del out[n - k:]
+        todo.extend(reversed(tail.letters))
+    return tuple(out)
 
 
 def is_trivial_mod(f: NcPolynomial, S: RuleSet, w: Word) -> bool:

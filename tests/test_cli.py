@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from shirshov import catalog
+from shirshov import catalog, cli, complete_presentation
 from shirshov.cli import run
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -47,6 +47,28 @@ class TestNf:
         code = run(["nf", catalog_file("plactic-2"), "b b a a"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "baba"
+
+    def test_many_words_one_completion(self, capsys, monkeypatch, catalog_file):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return complete_presentation(*args)
+
+        monkeypatch.setattr(cli, "complete_presentation", counting)
+        code = run(["nf", catalog_file("bicyclic"), "p q p", "q p", "1", "p p q q q"])
+        assert code == 0
+        assert capsys.readouterr().out == "p\nqp\n1\nq\n"
+        assert len(calls) == 1
+
+    def test_unknown_generator_in_any_word_prints_nothing(self, capsys, catalog_file):
+        assert run(["nf", catalog_file("bicyclic"), "p q", "q", "p x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown generator 'x'" in captured.err
+
+    def test_words_required(self, catalog_file):
+        assert run(["nf", catalog_file("bicyclic")]) == 2
 
 
 class TestCheck:

@@ -20,6 +20,8 @@ from shirshov.present import (
     PresentationError,
     _ZeroWord,
 )
+from shirshov.rewrite import StepLimitExceeded
+from shirshov.words import AlphabetMismatchError
 
 from oracles import all_words, congruence_classes
 
@@ -159,6 +161,21 @@ class TestNormalForm:
 
     def test_zero_singleton(self):
         assert _ZeroWord() is ZERO
+
+    def test_foreign_alphabet_rejected(self):
+        p, res = completed("bicyclic")
+        for foreign in (Alphabet("xy").word("x y x"), Alphabet("uvw").word("w")):
+            with pytest.raises(AlphabetMismatchError):
+                normal_form_word(foreign, res)
+            with pytest.raises(AlphabetMismatchError):
+                word_problem(foreign, p.alphabet.word("p"), res)
+
+    def test_step_cap_read_per_query(self, monkeypatch):
+        p, res = completed("bicyclic")
+        monkeypatch.setenv("GS_MAX_STEPS", "1")
+        assert normal_form_word(p.alphabet.word("p q p"), res) == p.alphabet.word("p")
+        with pytest.raises(StepLimitExceeded):
+            normal_form_word(p.alphabet.word("p p q q"), res)
 
 
 class TestWordProblem:

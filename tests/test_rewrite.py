@@ -1,21 +1,33 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shirshov import (
     Alphabet,
     NcPolynomial,
     RuleSet,
     Word,
+    catalog,
     cmp_deglex,
+    complete_presentation,
     irr_words,
     is_trivial_mod,
     parse_poly,
+    parse_presentation,
     prime_field,
     reduce,
+    shirshov_complete,
 )
-from shirshov.rewrite import TrivialityPreconditionError, reduce_with_steps
+from shirshov.complete import STATUS_COMPLETE, CompletionConfig
+from shirshov.rewrite import (
+    StepLimitExceeded,
+    TrivialityPreconditionError,
+    reduce_with_steps,
+    rewrite_word,
+)
 from shirshov.words import deglex_key
 
 from oracles import all_words, random_ideal_element, reference_reduce_with_steps
@@ -233,6 +245,97 @@ class TestReduceAgainstReference:
         assert S.leftmost_match(()) == (0, 1)
         assert irr_words(S, 3) == []
         assert reduce(parse_poly("y*y + 3", AB), S).is_zero()
+
+
+WORD_BASES = (
+    "bicyclic", "plactic-2", "plactic-3", "chinese-2", "chinese-3", "chinese-4",
+    "free-comm-2", "free-comm-3", "free-comm-4", "s3",
+)
+S3 = "kind: group\ngenerators: a b\nrelations:\n  a a = 1\n  b b = 1\n  a b a = b a b\n"
+
+
+@lru_cache(maxsize=None)
+def word_basis(name):
+    p = parse_presentation(S3) if name == "s3" else catalog(name)
+    cap = 7 if name == "plactic-3" else None
+    res = complete_presentation(p, CompletionConfig(max_degree=cap))
+    assert res.status == STATUS_COMPLETE, name
+    return p.alphabet, res.basis
+
+
+def reduced_letters(letters, S, alphabet):
+    """The classical path: the normal form's letters, or None for zero."""
+    nf = reduce(NcPolynomial.monomial(Word(alphabet, letters)), S)
+    if nf.is_zero():
+        return None
+    (w, c), = nf.terms.items()
+    assert c == 1
+    return w.letters
+
+
+def assert_agrees_up_to(S, alphabet, max_len):
+    for n in range(max_len + 1):
+        for w in all_words(alphabet, n):
+            assert rewrite_word(w.letters, S) == reduced_letters(w.letters, S, alphabet), w
+
+
+class TestRewriteWordAgainstReduce:
+    """The stack rewriter must reach the classical reduction's normal form."""
+
+    @pytest.mark.parametrize("name", WORD_BASES)
+    def test_all_short_words(self, name):
+        alphabet, S = word_basis(name)
+        assert_agrees_up_to(S, alphabet, 5 if len(alphabet) > 3 else 6)
+
+    @pytest.mark.parametrize("name", WORD_BASES)
+    def test_long_seeded_words(self, name):
+        alphabet, S = word_basis(name)
+        rng = random.Random(5003)
+        for _ in range(200):
+            letters = tuple(rng.randrange(len(alphabet)) for _ in range(rng.randint(0, 64)))
+            assert rewrite_word(letters, S) == reduced_letters(letters, S, alphabet), letters
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(WORD_BASES), st.lists(st.integers(0, 3), max_size=40))
+    def test_property(self, name, raw):
+        alphabet, S = word_basis(name)
+        letters = tuple(x % len(alphabet) for x in raw)
+        assert rewrite_word(letters, S) == reduced_letters(letters, S, alphabet)
+
+    def test_equal_leads_and_retired_rules(self):
+        # a lead rewrites by its lowest active rule index, as in leftmost_match
+        rules = [parse_poly("y*x - x*y", AB), parse_poly("y*x - x*x", AB), parse_poly("y*y - x", AB)]
+        S = RuleSet(rules)
+        assert rewrite_word((1, 0), S) == (0, 1)
+        S.retire(2)
+        assert rewrite_word((1, 1, 0), S) == (0, 1, 1)
+        assert_agrees_up_to(S, AB, 6)
+        S = RuleSet(rules[:2])
+        S.retire(0)
+        assert rewrite_word((1, 0), S) == (0, 0)
+        assert_agrees_up_to(S, AB, 6)
+
+    def test_monomial_rule_absorbs(self):
+        S = shirshov_complete([parse_poly("x*y", AB)]).basis
+        assert rewrite_word((0, 0, 1, 1), S) is None
+        assert rewrite_word((1, 1, 0, 0), S) == (1, 1, 0, 0)
+        assert_agrees_up_to(S, AB, 6)
+
+    def test_empty_lead_absorbs_every_word(self):
+        S = RuleSet([parse_poly("x*y - y", AB), NcPolynomial.one(AB)])
+        assert rewrite_word((), S) is None
+        assert_agrees_up_to(S, AB, 4)
+        S.retire(1)
+        assert rewrite_word((0, 1), S) == (1,)
+        assert_agrees_up_to(S, AB, 4)
+
+
+class TestRewriteWordStepCap:
+    def test_cap_counts_rewrites(self):
+        _, S = word_basis("bicyclic")  # q p; the one rule is p q -> 1
+        with pytest.raises(StepLimitExceeded):
+            rewrite_word((1, 1, 0, 0), S, max_steps=1)
+        assert rewrite_word((1, 1, 0, 0), S, max_steps=2) == ()
 
 
 def _random_poly(rng, alphabet, max_deg=4, field=Fraction):
