@@ -11,12 +11,7 @@ import argparse
 import os
 import sys
 
-from .complete import (
-    CompletionConfig,
-    STATUS_COMPLETE,
-    STATUS_UNIT_IDEAL,
-    walk_compositions,
-)
+from .complete import CERTIFYING_STATUSES, CompletionConfig, walk_compositions
 from .lie import pbw_basis
 from .present import (
     CappedCompletionError,
@@ -150,9 +145,7 @@ def _dispatch(args) -> int:
             print(f"status: {result.status}")
             for entry in result.to_json_dict()["basis"]:
                 print(f"  {entry['poly']}")
-        if result.status in (STATUS_COMPLETE, STATUS_UNIT_IDEAL):
-            return EXIT_OK
-        return EXIT_CAPPED
+        return EXIT_OK if result.status in CERTIFYING_STATUSES else EXIT_CAPPED
 
     if args.command == "check":
         rels = [f.monic() for f in to_algebra_relations(p)]
@@ -187,10 +180,7 @@ def _dispatch(args) -> int:
         return EXIT_NEGATIVE
 
     if args.command == "irr":
-        result = _complete(p, None)
-        if result.status != STATUS_COMPLETE:
-            raise CappedCompletionError(f"completion status {result.status!r}")
-        for w in irr_words(result.basis, args.deg, p.alphabet):
+        for w in irr_words(_complete(p, None).certified_basis(), args.deg, p.alphabet):
             print(w)
         return EXIT_OK
 

@@ -20,10 +20,16 @@ STATUS_COMPLETE = "complete"
 STATUS_CAPPED_DEGREE = "capped_degree"
 STATUS_CAPPED_RULES = "capped_rules"
 STATUS_UNIT_IDEAL = "unit_ideal"
+# Irr(S) is a linear basis of the quotient (Composition-Diamond lemma); empty for the unit ideal
+CERTIFYING_STATUSES = (STATUS_COMPLETE, STATUS_UNIT_IDEAL)
 
 
 class EmptyInputError(ValueError):
     """Completion called with no relations."""
+
+
+class CappedCompletionError(ValueError):
+    """A query needs a certified basis, and the completion stopped at a cap."""
 
 
 class NonBinomialRuleError(AssertionError):
@@ -42,8 +48,11 @@ class Composition:
 
     source: tuple[int, int]
     overlap: Overlap
-    w: Word
     rules: tuple[NcPolynomial, NcPolynomial] = field(compare=False, repr=False)
+
+    @property
+    def w(self) -> Word:
+        return self.overlap.w
 
     @cached_property
     def value(self) -> NcPolynomial:
@@ -85,6 +94,17 @@ class CompletionResult:
     status: str
     certificates: list[CompositionRecord]
     stats: dict = field(default_factory=_stats)
+
+    def certified_basis(self) -> RuleSet:
+        """The basis, when the status certifies Irr(S); else CappedCompletionError."""
+        if self.status not in CERTIFYING_STATUSES:
+            raise CappedCompletionError(f"completion stopped at {self.status!r}: no certified basis")
+        return self.basis
+
+    @cached_property
+    def non_binomial_rule(self) -> NcPolynomial | None:
+        """The first rule that is neither a binomial lead - tail nor a monomial."""
+        return next((f for f in self.basis if not _is_binomial_shape(f)), None)
 
     def to_json_dict(self) -> dict:
         order = sorted(range(len(self.basis)), key=lambda i: deglex_key(self.basis.rules[i].leading()[0]))
@@ -133,7 +153,7 @@ def compositions(s1: NcPolynomial, s2: NcPolynomial, i: int = 0, j: int = 1) -> 
     def add(find, f, g, fi, gi):
         # leading words cancel at w = fw·b = a·gw, or at w = fw = a·gw·b
         for ov in find(f.leading()[0], g.leading()[0]):
-            out.append(Composition((fi, gi), ov, ov.w, (f, g)))
+            out.append(Composition((fi, gi), ov, (f, g)))
 
     add(find_intersections, s1, s2, i, j)
     if i != j:
@@ -143,19 +163,18 @@ def compositions(s1: NcPolynomial, s2: NcPolynomial, i: int = 0, j: int = 1) -> 
         if u == v:
             # equal leads of distinct rules: inclusion with a = b = 1
             ov = Overlap("inclusion", u.alphabet.empty(), u.alphabet.empty(), u)
-            out.append(Composition((i, j), ov, u, (s1, s2)))
+            out.append(Composition((i, j), ov, (s1, s2)))
     else:
         add(find_inclusions, s1, s2, i, j)
     return out
 
 
-def walk_compositions(S: RuleSet, max_degree: int | None = None, indices=None):
-    """(composition, residue, steps) for every rule pair i <= j of S, in order.
+def walk_compositions(S: RuleSet, max_degree: int | None = None):
+    """(composition, residue, steps) for every active rule pair i <= j of S, in order.
 
     The residue is None, and nothing is reduced, when w exceeds max_degree.
-    ``indices`` (ascending) restricts the walk to those rules of S.
     """
-    indices = range(len(S)) if indices is None else indices
+    indices = list(S.active)
     for a, i in enumerate(indices):
         for j in indices[a:]:
             for comp in compositions(S.rules[i], S.rules[j], i, j):
@@ -179,12 +198,11 @@ class _Loop:
     """State of one completion run.
 
     ``basis`` is the run's one rule index: it holds every rule ever installed,
-    and retired rules stop matching, so reductions see only ``active`` rules.
+    and retired rules stop matching, so reductions see only its active rules.
     """
 
     def __init__(self, enforce_binomial: bool):
         self.basis = RuleSet()
-        self.active: set[int] = set()
         self.heap: list = []
         self.seq = 0
         self.certificates: list[CompositionRecord] = []
@@ -195,7 +213,7 @@ class _Loop:
 
     def push_compositions(self, idx: int) -> None:
         # idx is the newest rule, so its self-pair comes last
-        for other in sorted(self.active):
+        for other in self.basis.active:
             for comp in compositions(self.basis.rules[idx], self.basis.rules[other], idx, other):
                 self.seq += 1
                 key = (deglex_key(comp.w), comp.source, self.seq)
@@ -211,15 +229,13 @@ class _Loop:
         if self.enforce_binomial and not _is_binomial_shape(f):
             raise NonBinomialRuleError(f"non-binomial rule from word relations: {f}")
         idx = self.basis.add(f)
-        self.active.add(idx)
         self.push_compositions(idx)
         stale = [
             i
-            for i in sorted(self.active)
+            for i in self.basis.active
             if i != idx and find_inclusions(self.basis.rules[i].leading()[0], lead)
         ]
         for i in stale:
-            self.active.discard(i)
             self.basis.retire(i)
         for i in stale:
             self.requeue(self.basis.rules[i])
@@ -257,12 +273,13 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
         loop.requeue(f)
 
     def rule_cap_hit() -> bool:
-        return cfg.max_rules is not None and len(loop.active) > cfg.max_rules
+        return cfg.max_rules is not None and len(loop.basis.active) > cfg.max_rules
 
     def drain() -> None:
+        active = loop.basis.active
         while loop.heap and not loop.unit:
             (_, comp) = heapq.heappop(loop.heap)
-            if comp.source[0] not in loop.active or comp.source[1] not in loop.active:
+            if comp.source[0] not in active or comp.source[1] not in active:
                 continue
             if len(comp.w) > max_degree:
                 loop.skipped += 1
@@ -281,7 +298,7 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
     # GS criterion demonstrably holds (or a cap is the honest answer)
     while not loop.unit and not rule_cap_hit():
         skipped = 0
-        for comp, residue, steps in walk_compositions(loop.basis, max_degree, sorted(loop.active)):
+        for comp, residue, steps in walk_compositions(loop.basis, max_degree):
             if residue is None:
                 skipped += 1
                 continue
@@ -297,7 +314,7 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
             break
         drain()
 
-    basis = RuleSet(loop.basis.rules[i] for i in sorted(loop.active))
+    basis = RuleSet(loop.basis.rules[i] for i in loop.basis.active)
     if loop.unit:
         status = STATUS_UNIT_IDEAL
         basis = RuleSet([NcPolynomial.one(relations[0].alphabet)])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .complete import CompletionResult, STATUS_COMPLETE, is_gs_basis
+from .complete import CappedCompletionError, CompletionResult, is_gs_basis
 from .ncpoly import (
     LieTerm,
     NcPolynomial,
@@ -31,8 +31,7 @@ class NotLieElementError(ValueError):
     pass
 
 
-class CappedBasisError(ValueError):
-    """A capped completion cannot certify a PBW basis."""
+CappedBasisError = CappedCompletionError
 
 
 def is_alsw(u: Word) -> bool:
@@ -204,14 +203,12 @@ def lie_gs_check(relations, max_degree: int | None = None):
 def pbw_basis(S, d: int, alphabet: Alphabet | None = None) -> list[PbwMonomial]:
     """All non-decreasing products of ALSWs from Irr(S), total degree <= d.
 
-    S may be a complete CompletionResult, a RuleSet certified elsewhere, or
+    S may be a certified CompletionResult, a RuleSet certified elsewhere, or
     None for the free case.  Output is ordered by (degree, deg-lex of the
-    concatenation).
+    concatenation); the unit ideal has none.
     """
     if isinstance(S, CompletionResult):
-        if S.status != STATUS_COMPLETE:
-            raise CappedBasisError(f"basis with status {S.status!r} cannot yield a PBW basis")
-        ruleset = S.basis
+        ruleset = S.certified_basis()
     elif S is None:
         ruleset = RuleSet()
     else:
@@ -223,6 +220,8 @@ def pbw_basis(S, d: int, alphabet: Alphabet | None = None) -> list[PbwMonomial]:
     if d < 0:
         raise ValueError("degree bound must be >= 0")
 
+    if ruleset.leftmost_match(()) is not None:
+        return []  # the unit ideal: Irr(S), and with it the PBW basis, is empty
     atoms = [u for u in irr_words(ruleset, d, alphabet) if len(u) > 0 and is_alsw(u)]
     # in this order, the non-decreasing factor sequences are the index-ordered runs
     atoms.sort(key=cmp_to_key(cmp_lex_prefix_greater))

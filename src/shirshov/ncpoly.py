@@ -149,8 +149,7 @@ class NcPolynomial:
         """The deg-lex-maximal word of the support and its coefficient."""
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        w = next(iter(self.terms))
-        return w, self.terms[w]
+        return next(iter(self.terms.items()))
 
     def coefficient(self, w: Word) -> Scalar:
         return self.terms.get(w, 0)

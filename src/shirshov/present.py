@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complete import (
+    CappedCompletionError,
     CompletionConfig,
     CompletionResult,
     STATUS_COMPLETE,
-    _is_binomial_shape,
     shirshov_complete,
 )
 from .lie import StructureTable, from_structure_constants
@@ -42,10 +42,6 @@ class PresentationError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class CappedCompletionError(ValueError):
-    """Normal forms demand a complete basis."""
 
 
 class NonBinomialBasisError(ValueError):
@@ -264,14 +260,10 @@ def complete_presentation(
 
 
 def _word_basis(R: CompletionResult) -> RuleSet:
-    if R.status != STATUS_COMPLETE:
-        raise CappedCompletionError(
-            f"completion status {R.status!r}: normal forms would be unreliable"
-        )
-    for rule in R.basis:
-        if not _is_binomial_shape(rule):
-            raise NonBinomialBasisError(f"rule {rule} is not binomial or monomial")
-    return R.basis
+    basis = R.certified_basis()
+    if R.non_binomial_rule is not None:
+        raise NonBinomialBasisError(f"rule {R.non_binomial_rule} is not binomial or monomial")
+    return basis
 
 
 def normal_form_word(u: Word, R: CompletionResult):

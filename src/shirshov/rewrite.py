@@ -41,6 +41,7 @@ class RuleSet:
     def __init__(self, rules=()):
         self.rules: list[NcPolynomial] = []
         self.leads: list[tuple[int, ...]] = []
+        self.active: dict[int, None] = {}  # active rule indices, in ascending order
         self._by_first: dict[int, list[int]] = {}
         # active leads by length, each with its rule indices in ascending order
         self._by_len: dict[int, dict[tuple[int, ...], list[int]]] = {}
@@ -67,12 +68,14 @@ class RuleSet:
         idx = len(self.rules)
         self.rules.append(rule)
         self.leads.append(lead.letters)
+        self.active[idx] = None
         self._by_first.setdefault(_first(lead.letters), []).append(idx)
         self._by_len.setdefault(len(lead), {}).setdefault(lead.letters, []).append(idx)
         return idx
 
     def retire(self, idx: int) -> None:
         """Stop matching rule idx; it keeps its slot, so no index moves."""
+        del self.active[idx]
         lead = self.leads[idx]
         self._by_first[_first(lead)].remove(idx)
         leads = self._by_len[len(lead)]

@@ -10,6 +10,11 @@ from shirshov import catalog, cli, complete_presentation
 from shirshov.cli import run
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+RUNAWAY_SRC = "kind: algebra\ngenerators: y x\nrelations:\n  x*x - x*y\n"
+# x = 1 and x = 0: the quotient is zero, so every word is the zero class
+UNIT_IDEAL_SRC = "kind: algebra\ngenerators: x y\nrelations:\n  x - 1\n  x\n"
+# arguments after the file, for each subcommand that needs a certified basis
+QUERY_ARGS = {"nf": ["x y"], "eq": ["x", "y"], "irr": ["--deg", "3"], "growth": ["--len", "3"]}
 
 
 @pytest.fixture
@@ -111,8 +116,7 @@ class TestComplete:
         assert len(doc["basis"]) == 3
 
     def test_capped_exit_code(self, capsys, write):
-        src = "kind: algebra\ngenerators: y x\nrelations:\n  x*x - x*y\n"
-        code = run(["complete", write("runaway.gs", src), "--max-deg", "5"])
+        code = run(["complete", write("runaway.gs", RUNAWAY_SRC), "--max-deg", "5"])
         assert code == 3
         assert "capped_degree" in capsys.readouterr().out
 
@@ -179,6 +183,17 @@ class TestGrowth:
         assert capsys.readouterr().out.split() == ["1", "2", "3", "4"]
 
 
+class TestUnitIdeal:
+    @pytest.mark.parametrize(
+        "command, out",
+        [("nf", "0"), ("eq", "equal"), ("irr", ""), ("growth", "0 0 0 0")],
+        ids=list(QUERY_ARGS),
+    )
+    def test_every_query_answers(self, capsys, write, command, out):
+        assert run([command, write("one.gs", UNIT_IDEAL_SRC), *QUERY_ARGS[command]]) == 0
+        assert capsys.readouterr().out.strip() == out
+
+
 class TestCatalogCommand:
     def test_emits_reingestible_file(self, capsys, write):
         code = run(["catalog", "bicyclic"])
@@ -205,12 +220,10 @@ class TestUsageErrors:
         bad = write("bad.gs", "kind: monoid\ngenerators: q p\nrelations:\n  p q =\n")
         assert run(["nf", bad, "p"]) == 2
 
-    def test_capped_where_completeness_required(self, write):
-        src = "kind: monoid\ngenerators: a b c d\nrelations:\n"
-        # plactic-4 style runaway via explicit relations is slow; use the
-        # runaway algebra relation instead
-        src = "kind: algebra\ngenerators: y x\nrelations:\n  x*x - x*y\n"
-        assert run(["irr", write("r.gs", src), "--deg", "3"]) == 3
+    @pytest.mark.parametrize("command", QUERY_ARGS)
+    def test_capped_where_completeness_required(self, capsys, write, command):
+        assert run([command, write("r.gs", RUNAWAY_SRC), *QUERY_ARGS[command]]) == 3
+        assert "'capped_degree'" in capsys.readouterr().err
 
 
 class TestBadInput:
@@ -219,6 +232,11 @@ class TestBadInput:
         assert run(["eq", catalog_file("bicyclic"), "p", "x"]) == 2
         assert "unknown generator 'x'" in capsys.readouterr().err
         assert run(["nf", catalog_file("bicyclic"), "p x"]) == 2
+
+    @pytest.mark.parametrize("argv", [["nf", "e f"], ["growth", "--len", "2"]], ids=["nf", "growth"])
+    def test_non_binomial_basis_is_usage_error(self, capsys, catalog_file, argv):
+        assert run([argv[0], catalog_file("sl2"), *argv[1:]]) == 2
+        assert "rule e*f - f*e - h is not binomial" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     def test_bad_step_cap_names_the_variable(self, capsys, monkeypatch, catalog_file, value):

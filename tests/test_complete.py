@@ -276,3 +276,23 @@ class TestIsGsBasis:
     def test_empty_vacuous(self):
         ok, fails = is_gs_basis(RuleSet())
         assert ok and fails == []
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_retired_rule_left_out(self, i):
+        rules = non_jacobi_relations() + [parse_poly("z*z*y - x", XYZ)]
+        S = RuleSet(rules)
+        S.retire(i)
+        walked = list(walk_compositions(S))
+        assert walked and all(i not in comp.source for comp, _, _ in walked)
+        # the same walk, residues and verdict as over the other rules alone
+        rest = RuleSet(r for k, r in enumerate(rules) if k != i)
+
+        def shape(walk):
+            return [(c.overlap.kind, str(c.w), str(r), steps) for c, r, steps in walk]
+
+        assert shape(walked) == shape(walk_compositions(rest))
+        ok, failures = is_gs_basis(S)
+        ok_rest, failures_rest = is_gs_basis(rest)
+        assert all(i not in rec.composition.source for rec in failures)
+        assert ok == ok_rest
+        assert [rec.residue for rec in failures] == [rec.residue for rec in failures_rest]

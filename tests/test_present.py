@@ -1,4 +1,6 @@
 
+import re
+
 import pytest
 
 from shirshov import (
@@ -11,12 +13,15 @@ from shirshov import (
     growth_series,
     normal_form_word,
     parse_presentation,
+    pbw_basis,
     to_algebra_relations,
     word_problem,
 )
-from shirshov.complete import STATUS_COMPLETE, CompletionConfig
+from shirshov import complete
+from shirshov.complete import STATUS_COMPLETE, STATUS_UNIT_IDEAL, CompletionConfig
 from shirshov.present import (
     CappedCompletionError,
+    NonBinomialBasisError,
     PresentationError,
     _ZeroWord,
 )
@@ -147,6 +152,26 @@ class TestNormalForm:
         res = shirshov_complete([parse_poly("x*x - x*y", A)], CompletionConfig(max_degree=4))
         with pytest.raises(CappedCompletionError):
             normal_form_word(A.word("x"), res)
+        with pytest.raises(CappedCompletionError):
+            growth_series(res, 2)
+
+    def test_non_binomial_basis_rejected(self):
+        p, res = completed("sl2")
+        first = re.escape(f"rule {res.basis.rules[0]} is not binomial")
+        with pytest.raises(NonBinomialBasisError, match=first):
+            normal_form_word(p.alphabet.word("e f"), res)
+        with pytest.raises(NonBinomialBasisError, match=first):
+            growth_series(res, 2)
+
+    def test_shape_checked_once_per_result(self, monkeypatch):
+        p, res = completed("chinese-3")
+        calls = []
+        shape = complete._is_binomial_shape
+        monkeypatch.setattr(complete, "_is_binomial_shape", lambda f: calls.append(f) or shape(f))
+        for text in ("c b a", "c c b a a", "a b c"):
+            normal_form_word(p.alphabet.word(text), res)
+        growth_series(res, 3)
+        assert len(calls) == len(res.basis)
 
     def test_zero_outcome_distinct_from_empty(self):
         # a monomial relation absorbs: x y = 0-like quotient via x*y rule
@@ -206,6 +231,19 @@ class TestWordProblem:
                 lifted = Word(p.alphabet, w.letters)
                 nfs.add(normal_form_word(lifted, res))
         assert len(nfs) == 3
+
+
+class TestUnitIdeal:
+    def test_every_query_answers(self):
+        # x = 1 and x = 0: the quotient is zero, so Irr(S) is empty
+        p = parse_presentation("kind: algebra\ngenerators: x y\nrelations:\n  x - 1\n  x\n")
+        res = complete_presentation(p)
+        assert res.status == STATUS_UNIT_IDEAL
+        assert normal_form_word(p.alphabet.word("x y"), res) is ZERO
+        assert normal_form_word(p.alphabet.empty(), res) is ZERO
+        assert word_problem(p.alphabet.word("x"), p.alphabet.word("y"), res)
+        assert growth_series(res, 3).counts == (0, 0, 0, 0)
+        assert pbw_basis(res, 3) == []
 
 
 class TestGrowthSeries:
