@@ -213,10 +213,7 @@ def pbw_basis(S, d: int, alphabet: Alphabet | None = None) -> list[PbwMonomial]:
         ruleset = RuleSet()
     else:
         ruleset = S
-    if alphabet is None:
-        alphabet = ruleset.alphabet
-    if alphabet is None:
-        raise ValueError("free case needs an explicit alphabet")
+    alphabet = ruleset.query_alphabet(alphabet)
     if d < 0:
         raise ValueError("degree bound must be >= 0")
 

@@ -339,8 +339,10 @@ def parse_poly(text: str, alphabet: Alphabet, field=Fraction) -> NcPolynomial:
                 raise PolyParseError(f"missing '+', '-' or '*' before {val!r}")
             if kind == "num":
                 if "/" in val:
-                    num, den = val.split("/")
-                    coeff = coeff * field(int(num)) / field(int(den))
+                    num, den = (field(int(part)) for part in val.split("/"))
+                    if den == 0:
+                        raise PolyParseError(f"zero denominator in {val!r}")
+                    coeff = coeff * num / den
                 else:
                     coeff = coeff * field(int(val))
             else:

@@ -29,7 +29,7 @@ from .complete import (
 from .lie import StructureTable, from_structure_constants
 from .ncpoly import NcPolynomial, PolyParseError, parse_poly
 from .rewrite import RuleSet, irr_words, rewrite_word
-from .words import Alphabet, AlphabetMismatchError, Word
+from .words import Alphabet, Word
 
 KINDS = ("algebra", "monoid", "group", "lie")
 
@@ -207,19 +207,12 @@ def parse_presentation(text: str) -> Presentation:
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
             raise PresentationError("expected 'word = word'", lineno)
         try:
-            u = _parse_word(parts[0], alphabet, lineno)
-            v = _parse_word(parts[1], alphabet, lineno)
+            u = alphabet.word(parts[0])
+            v = alphabet.word(parts[1])
         except KeyError as exc:
             raise PresentationError(str(exc), lineno) from exc
         rels.append((u, v))
     return Presentation(kind, alphabet, tuple(rels), base_generators=base)
-
-
-def _parse_word(text: str, alphabet: Alphabet, lineno: int) -> Word:
-    parts = text.split()
-    if parts == ["1"]:
-        return alphabet.empty()
-    return Word(alphabet, tuple(alphabet.index(p) for p in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +262,7 @@ def _word_basis(R: CompletionResult) -> RuleSet:
 def normal_form_word(u: Word, R: CompletionResult):
     """Unique irreducible representative of u's class, or ZERO on absorption."""
     basis = _word_basis(R)
-    if basis.alphabet is not None and u.alphabet != basis.alphabet:
-        raise AlphabetMismatchError("word and basis over different alphabets")
+    basis.query_alphabet(u.alphabet)
     letters = rewrite_word(u.letters, basis)
     return ZERO if letters is None else Word(u.alphabet, letters)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 from .ncpoly import NcPolynomial
-from .words import Alphabet, Word, cmp_deglex, deglex_key
+from .words import Alphabet, AlphabetMismatchError, Word, cmp_deglex, deglex_key
 
 DEFAULT_MAX_STEPS = 10**7
 
@@ -72,6 +72,20 @@ class RuleSet:
         self._by_first.setdefault(_first(lead.letters), []).append(idx)
         self._by_len.setdefault(len(lead), {}).setdefault(lead.letters, []).append(idx)
         return idx
+
+    def query_alphabet(self, alphabet: Alphabet | None = None) -> Alphabet:
+        """The alphabet a query over this basis answers in.
+
+        None means the basis's own; an explicit one must equal it.  An empty
+        rule set has none, so its queries must name one.
+        """
+        if alphabet is None:
+            alphabet = self.alphabet
+        if alphabet is None:
+            raise ValueError("empty rule set needs an explicit alphabet")
+        if self.alphabet is not None and alphabet != self.alphabet:
+            raise AlphabetMismatchError("query and basis over different alphabets")
+        return alphabet
 
     def retire(self, idx: int) -> None:
         """Stop matching rule idx; it keeps its slot, so no index moves."""
@@ -218,10 +232,7 @@ def irr_words(S: RuleSet, d: int, alphabet: Alphabet | None = None) -> list[Word
     """
     if d < 0:
         raise ValueError("degree bound must be >= 0")
-    if alphabet is None:
-        alphabet = S.alphabet
-    if alphabet is None:
-        raise ValueError("empty rule set needs an explicit alphabet")
+    alphabet = S.query_alphabet(alphabet)
     if S.leftmost_match(()) is not None:
         return []  # unit ideal: empty lead reduces everything
     k = len(alphabet)

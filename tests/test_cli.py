@@ -220,6 +220,18 @@ class TestUsageErrors:
         bad = write("bad.gs", "kind: monoid\ngenerators: q p\nrelations:\n  p q =\n")
         assert run(["nf", bad, "p"]) == 2
 
+    @pytest.mark.parametrize(
+        "src, line",
+        [
+            ("kind: algebra\ngenerators: x y\nrelations:\n  x*y - 1/0\n", 4),
+            ("kind: lie\ngenerators: x y\nrelations:\n  bracket y x = 1/0*x\n", 4),
+        ],
+        ids=["algebra", "lie"],
+    )
+    def test_zero_denominator_is_a_parse_error(self, capsys, write, src, line):
+        assert run(["complete", write("z.gs", src)]) == 2
+        assert f"line {line}: zero denominator" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", QUERY_ARGS)
     def test_capped_where_completeness_required(self, capsys, write, command):
         assert run([command, write("r.gs", RUNAWAY_SRC), *QUERY_ARGS[command]]) == 3

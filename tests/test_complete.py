@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,7 @@ from shirshov import (
     reduce,
     shirshov_complete,
 )
+from shirshov import complete
 from shirshov.complete import (
     EmptyInputError,
     STATUS_CAPPED_DEGREE,
@@ -130,10 +130,6 @@ class TestCompositionsAgainstReference:
                     for source, kind, a, b, w, value in reference_compositions(s1, s2, i, j)
                 ]
                 assert got == want
-                for c in comps:
-                    # the verification pass certifies under the sorted pair
-                    moved = replace(c, source=tuple(sorted(c.source)))
-                    assert moved.rules == c.rules and moved.value == c.value
                 for entry in got:
                     seen[entry[1]] += 1
                     if i == j:
@@ -255,6 +251,34 @@ class TestShirshovComplete:
                     lead_j[s : s + len(lead_i)] == lead_i
                     for s in range(len(lead_j) - len(lead_i) + 1)
                 )
+
+
+class TestCertifyingPass:
+    """After drain, the pass over the final basis re-reduces every composition
+    and finds nothing to adjoin, also when interreduction retired rules."""
+
+    @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
+    def test_random_sets_certify(self, field):
+        rng = random.Random(9151)
+        retired_and_complete = 0
+        for _ in range(100):
+            alphabet, cap = rng.choice((BA, XYZ)), rng.randint(4, 5)
+            rels = [_random_rule(rng, alphabet, field) for _ in range(rng.randint(2, 3))]
+            res = shirshov_complete(rels, CompletionConfig(max_degree=cap, max_rules=25))
+            if res.status == STATUS_COMPLETE:
+                assert is_gs_basis(res.basis, cap) == (True, [])
+                # rules_added also counts the rules interreduction retired
+                retired_and_complete += res.stats["rules_added"] > len(res.basis)
+        assert retired_and_complete > 10
+
+    def test_nonzero_residue_raises(self, monkeypatch):
+        def leaves_residue(S, max_degree=None):
+            for comp, _, steps in walk_compositions(S, max_degree):
+                yield comp, parse_poly("h", FEH), steps
+
+        monkeypatch.setattr(complete, "walk_compositions", leaves_residue)
+        with pytest.raises(AssertionError, match="w = hef: residue h after drain"):
+            shirshov_complete(sl2_relations())
 
 
 class TestIsGsBasis:

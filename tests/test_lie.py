@@ -23,6 +23,7 @@ from shirshov import (
 )
 from shirshov.lie import CappedBasisError, NotAlswError, NotLieElementError
 from shirshov.complete import CompletionConfig
+from shirshov.words import AlphabetMismatchError
 
 from oracles import (
     all_monotone_alsw_factorizations,
@@ -305,6 +306,13 @@ class TestPbwBasis:
         assert sorted(deg2) == sorted(
             ["f·f", "f·e", "f·h", "e·e", "e·h", "h·h"]
         )
+
+    def test_foreign_alphabet_rejected(self):
+        rels = [f for _, f in from_structure_constants(sl2_table(), ("f", "e", "h"))]
+        res = shirshov_complete(rels)
+        with pytest.raises(AlphabetMismatchError):
+            pbw_basis(res, 2, ABC)
+        assert pbw_basis(res, 2, Alphabet(("f", "e", "h"))) == pbw_basis(res, 2)
 
     def test_degree_zero(self):
         out = pbw_basis(None, 0, BA)

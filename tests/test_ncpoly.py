@@ -187,6 +187,16 @@ class TestTextSyntax:
         with pytest.raises(KeyError):
             P("q", AB)
 
+    @pytest.mark.parametrize(
+        "field, text",
+        [(Fraction, "x*y - 1/0"), (prime_field(32003), "x*y - 1/0"), (prime_field(7), "x - 1/14")],
+        ids=["Q", "GF32003", "GF7-multiple-of-p"],
+    )
+    def test_zero_denominator_is_a_parse_error(self, field, text):
+        # a ZeroDivisionError would escape the CLI's usage-error handling
+        with pytest.raises(PolyParseError, match="zero denominator"):
+            parse_poly(text, AB, field=field)
+
     def test_float_coefficients_forbidden(self):
         with pytest.raises(TypeError):
             NcPolynomial(AB, {AB.word("x"): 0.5})

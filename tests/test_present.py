@@ -60,8 +60,16 @@ class TestParsePresentation:
         assert "line 4" in str(exc.value)
 
     def test_unknown_generator(self):
-        with pytest.raises(PresentationError):
-            parse_presentation("kind: monoid\ngenerators: q p\nrelations:\n  p z = 1\n")
+        with pytest.raises(PresentationError, match="line 5: .unknown generator 'z'"):
+            parse_presentation("kind: monoid\ngenerators: q p\nrelations:\n  q p = p\n  p z = 1\n")
+        with pytest.raises(PresentationError, match="line 4: .unknown generator 'z'"):
+            parse_presentation("kind: monoid\ngenerators: q p\nrelations:\n  pz = 1\n")
+
+    def test_words_parse_like_cli_words(self):
+        # single-letter generators need no spaces, as in CLI nf/eq words
+        p = parse_presentation("kind: monoid\ngenerators: q p\nrelations:\n  pq = 1\n")
+        assert p.relations == parse_presentation(BICYCLIC_SRC).relations
+        assert p.relations[0][0] == p.alphabet.word("p q")
 
     def test_unknown_kind(self):
         with pytest.raises(PresentationError):

@@ -28,7 +28,7 @@ from shirshov.rewrite import (
     reduce_with_steps,
     rewrite_word,
 )
-from shirshov.words import deglex_key
+from shirshov.words import AlphabetMismatchError, deglex_key
 
 from oracles import all_words, random_ideal_element, reference_reduce_with_steps
 
@@ -148,6 +148,15 @@ class TestIrrWords:
         X = Alphabet(("x",))
         got = [str(w) for w in irr_words(RuleSet(), 1, X)]
         assert got == ["1", "x"]
+
+    def test_foreign_alphabet_rejected(self):
+        # letters are indices: over a < b the lead yx would silently drop ba
+        S = RuleSet([parse_poly("y*x - 1", AB)])
+        with pytest.raises(AlphabetMismatchError):
+            irr_words(S, 2, BA)
+        with pytest.raises(AlphabetMismatchError):
+            irr_words(RuleSet([NcPolynomial.one(AB)]), 2, BA)
+        assert irr_words(S, 2, Alphabet(("x", "y"))) == irr_words(S, 2)
 
     def test_count_complement(self):
         S = plactic2_rules()
