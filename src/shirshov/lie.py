@@ -9,8 +9,9 @@ than assumed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cmp_to_key
+from itertools import islice
 
 from .complete import CappedCompletionError, CompletionResult, is_gs_basis
 from .ncpoly import (
@@ -19,8 +20,8 @@ from .ncpoly import (
     Scalar,
     expand_bracket,
 )
-from .rewrite import RuleSet, irr_words
-from .words import Alphabet, Word, cmp_lex_prefix_greater, deglex_key
+from .rewrite import RuleSet, _irr_levels
+from .words import Alphabet, Word, deglex_key
 
 
 class NotAlswError(ValueError):
@@ -38,7 +39,10 @@ def is_alsw(u: Word) -> bool:
     """True iff u is strictly lex-greater than every proper rotation."""
     if len(u) == 0:
         raise ValueError("the empty word is not eligible")
-    s = u.letters
+    return _is_alsw(u.letters)
+
+
+def _is_alsw(s: tuple[int, ...]) -> bool:
     for cut in range(1, len(s)):
         if s <= s[cut:] + s[:cut]:
             return False
@@ -219,18 +223,31 @@ def pbw_basis(S, d: int, alphabet: Alphabet | None = None) -> list[PbwMonomial]:
 
     if ruleset.leftmost_match(()) is not None:
         return []  # the unit ideal: Irr(S), and with it the PBW basis, is empty
-    atoms = [u for u in irr_words(ruleset, d, alphabet) if len(u) > 0 and is_alsw(u)]
-    # in this order, the non-decreasing factor sequences are the index-ordered runs
-    atoms.sort(key=cmp_to_key(cmp_lex_prefix_greater))
-    out: list[PbwMonomial] = [PbwMonomial(())]
-
-    def extend(prefix: tuple[Word, ...], first: int, remaining: int) -> None:
-        for i, u in enumerate(atoms[first:], first):
-            if len(u) <= remaining:
-                seq = prefix + (u,)
-                out.append(PbwMonomial(seq))
-                extend(seq, i, remaining - len(u))
-
-    extend((), 0, d)
-    out.sort(key=lambda m: (m.degree, sum((u.letters for u in m.factors), ())))
-    return out
+    k = len(alphabet)
+    levels = islice(_irr_levels(ruleset, d, k), 1, None)
+    # with a letter above every letter appended, a proper prefix compares
+    # greater; in this order the non-decreasing factor sequences are the
+    # index-ordered runs
+    atoms = sorted((t for level in levels for t in level if _is_alsw(t)), key=lambda t: t + (k,))
+    words = [Word(alphabet, t) for t in atoms]
+    by_len: dict[int, list[int]] = {}
+    for i, t in enumerate(atoms):
+        by_len.setdefault(len(t), []).append(i)
+    # (degree, concatenated letters, factors). The factorization into
+    # non-decreasing ALSWs is unique, so the sort never reaches the factors.
+    found = [(0, (), ())]
+    stack = [(0, (), (), 0)]
+    while stack:
+        degree, letters, factors, first = stack.pop()
+        for n, idxs in by_len.items():
+            if degree + n <= d:
+                for i in idxs[bisect_left(idxs, first):]:
+                    ext = (degree + n, letters + atoms[i], factors + (words[i],))
+                    found.append(ext)
+                    if ext[0] < d:
+                        stack.append(ext + (i,))
+    found.sort()
+    # in place, so each entry's key is freed as its monomial is built
+    for i, (_, _, factors) in enumerate(found):
+        found[i] = PbwMonomial(factors)
+    return found

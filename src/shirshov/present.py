@@ -28,7 +28,7 @@ from .complete import (
 )
 from .lie import StructureTable, from_structure_constants
 from .ncpoly import NcPolynomial, PolyParseError, parse_poly
-from .rewrite import RuleSet, irr_words, rewrite_word
+from .rewrite import RuleSet, _lead_automaton, rewrite_word
 from .words import Alphabet, Word
 
 KINDS = ("algebra", "monoid", "group", "lie")
@@ -158,7 +158,7 @@ def parse_presentation(text: str) -> Presentation:
             try:
                 rels.append(parse_poly(line, alphabet))
             except (PolyParseError, KeyError) as exc:
-                raise PresentationError(str(exc), lineno) from exc
+                raise PresentationError(exc.args[0], lineno) from exc
         return Presentation(kind, alphabet, tuple(rels), base_generators=base)
 
     if kind == "lie":
@@ -174,7 +174,7 @@ def parse_presentation(text: str) -> Presentation:
                 i = alphabet.index(head[1])
                 j = alphabet.index(head[2])
             except KeyError as exc:
-                raise PresentationError(str(exc), lineno) from exc
+                raise PresentationError(exc.args[0], lineno) from exc
             if i <= j:
                 raise PresentationError(
                     "left side must list the precedence-greater generator first", lineno
@@ -185,7 +185,7 @@ def parse_presentation(text: str) -> Presentation:
                 try:
                     poly = parse_poly(rhs, alphabet)
                 except (PolyParseError, KeyError) as exc:
-                    raise PresentationError(str(exc), lineno) from exc
+                    raise PresentationError(exc.args[0], lineno) from exc
                 for w, c in poly.terms.items():
                     if len(w) != 1:
                         raise PresentationError(
@@ -210,7 +210,7 @@ def parse_presentation(text: str) -> Presentation:
             u = alphabet.word(parts[0])
             v = alphabet.word(parts[1])
         except KeyError as exc:
-            raise PresentationError(str(exc), lineno) from exc
+            raise PresentationError(exc.args[0], lineno) from exc
         rels.append((u, v))
     return Presentation(kind, alphabet, tuple(rels), base_generators=base)
 
@@ -274,9 +274,20 @@ def word_problem(u: Word, v: Word, R: CompletionResult) -> bool:
 def growth_series(R: CompletionResult, L: int) -> GrowthSeries:
     """Counts of irreducible words per length 0..L."""
     basis = _word_basis(R)
-    counts = [0] * (L + 1)
-    for w in irr_words(basis, L):
-        counts[len(w)] += 1
+    if L < 0:
+        raise ValueError("degree bound must be >= 0")
+    # words of length n ending in each live state of the leads' automaton
+    succ = _lead_automaton(basis, len(basis.query_alphabet()))
+    ends = [1] + [0] * (len(succ) - 1) if succ else []
+    counts = []
+    for _ in range(L + 1):
+        counts.append(sum(ends))
+        nxt = [0] * len(succ)
+        for s, c in enumerate(ends):
+            if c:
+                for t in succ[s]:
+                    nxt[t] += c
+        ends = nxt
     return GrowthSeries(tuple(counts))
 
 

@@ -224,20 +224,14 @@ def is_trivial_mod(f: NcPolynomial, S: RuleSet, w: Word) -> bool:
     return reduce(f, S).is_zero()
 
 
-def irr_words(S: RuleSet, d: int, alphabet: Alphabet | None = None) -> list[Word]:
-    """All words of degree <= d with no rule lead as a subword, deg-lex ascending.
+def _irr_levels(S: RuleSet, d: int, k: int):
+    """Irr(S) on letter tuples, one list per length 0..d, each in lex order.
 
-    Breadth-first extension with prefix pruning: children of a word only need
-    a lead-suffix check.
+    Breadth-first extension with prefix pruning: children of an irreducible
+    word only need a lead-suffix check.
     """
-    if d < 0:
-        raise ValueError("degree bound must be >= 0")
-    alphabet = S.query_alphabet(alphabet)
-    if S.leftmost_match(()) is not None:
-        return []  # unit ideal: empty lead reduces everything
-    k = len(alphabet)
-    out: list[Word] = [alphabet.empty()]
     level: list[tuple[int, ...]] = [()]
+    yield level
     for _ in range(d):
         nxt = []
         for w in level:
@@ -246,5 +240,55 @@ def irr_words(S: RuleSet, d: int, alphabet: Alphabet | None = None) -> list[Word
                 if not S.has_lead_suffix(cand):
                     nxt.append(cand)
         level = nxt
-        out.extend(Word(alphabet, w) for w in level)
-    return out
+        yield level
+
+
+def irr_words(S: RuleSet, d: int, alphabet: Alphabet | None = None) -> list[Word]:
+    """All words of degree <= d with no rule lead as a subword, deg-lex ascending."""
+    if d < 0:
+        raise ValueError("degree bound must be >= 0")
+    alphabet = S.query_alphabet(alphabet)
+    if S.leftmost_match(()) is not None:
+        return []  # unit ideal: empty lead reduces everything
+    return [Word(alphabet, w) for level in _irr_levels(S, d, len(alphabet)) for w in level]
+
+
+def _lead_automaton(S: RuleSet, k: int) -> list[list[int]]:
+    """Aho-Corasick automaton of the active leads of S over k letters.
+
+    A state is a prefix of a lead. It is dead when some lead is a suffix of
+    it: when it, or a state on its suffix-link chain, ends a lead. Returns,
+    for each live state, the live states its k letters lead to; a letter into
+    a dead state is left out. The empty word is state 0. With an empty lead
+    (the unit ideal) it is dead, and no state is returned. Reading a word
+    from state 0 stays among live states exactly while the word is
+    irreducible.
+    """
+    goto: list[dict[int, int]] = [{}]
+    dead = [False]
+    for leads in S._by_len.values():
+        for lead in leads:
+            s = 0
+            for x in lead:
+                if x not in goto[s]:
+                    goto[s][x] = len(goto)
+                    goto.append({})
+                    dead.append(False)
+                s = goto[s][x]
+            dead[s] = True
+    if dead[0]:
+        return []
+    # breadth first, so a state's suffix link is final before the state is read
+    link = [0] * len(goto)
+    delta: list[list[int]] = [[]] * len(goto)
+    order = [0]
+    for s in order:
+        row = list(delta[link[s]]) if s else [0] * k
+        dead[s] = dead[s] or dead[link[s]]
+        for x, t in goto[s].items():
+            link[t] = row[x]
+            row[x] = t
+            order.append(t)
+        delta[s] = row
+    live = {s: i for i, s in enumerate([s for s in order if not dead[s]])}
+    return [[live[t] for t in delta[s] if t in live] for s in live]

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cmp_to_key
 
-from shirshov import Alphabet, NcPolynomial, Word, cmp_lex_prefix_greater, mul_bounded
+from shirshov import Alphabet, NcPolynomial, Word, cmp_lex_prefix_greater, is_alsw, mul_bounded
+from shirshov.complete import CompletionResult
+from shirshov.lie import PbwMonomial
+from shirshov.rewrite import RuleSet, irr_words
 from shirshov.words import deglex_key
 
 
@@ -239,3 +243,54 @@ def reference_compositions(s1: NcPolynomial, s2: NcPolynomial, i: int, j: int):
     else:
         add(s1, s2, i, j, "inclusion", brute_inclusions(u, v))
     return out
+
+
+def reference_growth_counts(S, L: int) -> tuple[int, ...]:
+    """Irreducible words per length 0..L, counted off the listed Irr(S)."""
+    counts = [0] * (L + 1)
+    for w in irr_words(S, L):
+        counts[len(w)] += 1
+    return tuple(counts)
+
+
+def reference_pbw_basis(S, d: int, alphabet: Alphabet | None = None):
+    """PBW monomials of total degree <= d, by filtering every Irr(S) word.
+
+    The ALSWs of Irr(S) are sorted with cmp_lex_prefix_greater, and each
+    monomial is extended by every later atom that still fits, recursively.
+    Output is ordered by (degree, deg-lex of the concatenation).
+    """
+    if isinstance(S, CompletionResult):
+        ruleset = S.certified_basis()
+    elif S is None:
+        ruleset = RuleSet()
+    else:
+        ruleset = S
+    alphabet = ruleset.query_alphabet(alphabet)
+    if d < 0:
+        raise ValueError("degree bound must be >= 0")
+    if ruleset.leftmost_match(()) is not None:
+        return []
+    atoms = [u for u in irr_words(ruleset, d, alphabet) if len(u) > 0 and is_alsw(u)]
+    atoms.sort(key=cmp_to_key(cmp_lex_prefix_greater))
+    out = [PbwMonomial(())]
+
+    def extend(prefix, first, remaining):
+        for i, u in enumerate(atoms[first:], first):
+            if len(u) <= remaining:
+                seq = prefix + (u,)
+                out.append(PbwMonomial(seq))
+                extend(seq, i, remaining - len(u))
+
+    extend((), 0, d)
+    out.sort(key=lambda m: (m.degree, sum((u.letters for u in m.factors), ())))
+    return out
+
+
+def product_series(lengths, d: int) -> list[int]:
+    """Coefficients of t^0..t^d in the product of 1/(1 - t^n) over lengths."""
+    coeffs = [1] + [0] * d
+    for n in lengths:
+        for m in range(n, d + 1):
+            coeffs[m] += coeffs[m - n]
+    return coeffs

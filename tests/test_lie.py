@@ -30,6 +30,8 @@ from oracles import (
     all_words,
     alsw_census,
     necklace_count,
+    product_series,
+    reference_pbw_basis,
     rotation_maximal,
 )
 
@@ -368,3 +370,55 @@ class TestPbwBasis:
             if all(irreducible(u) for u in factors)
         ]
         assert [m.factors for m in pbw_basis(S, d, alphabet)] == expected
+
+
+class TestPbwDifferential:
+    @pytest.mark.parametrize(
+        "name, d", [("free-2", 9), ("free-3", 7), ("sl2", 12), ("heisenberg-3", 12)]
+    )
+    def test_matches_reference_in_order(self, name, d):
+        if name.startswith("free"):
+            S, alphabet = None, (BA if name == "free-2" else ABC)
+        else:
+            S, alphabet = complete_presentation(catalog(name)), None
+        assert pbw_basis(S, d, alphabet) == reference_pbw_basis(S, d, alphabet)
+
+    def test_foreign_alphabet(self):
+        res = complete_presentation(catalog("sl2"))
+        for f in (pbw_basis, reference_pbw_basis):
+            with pytest.raises(AlphabetMismatchError):
+                f(res, 3, ABC)
+        # the free case answers over any alphabet
+        UV = Alphabet(("u", "v"))
+        assert pbw_basis(None, 6, UV) == reference_pbw_basis(None, 6, UV)
+
+    def test_unit_ideal(self):
+        A = Alphabet(("x", "y"))
+        res = shirshov_complete([parse_poly("x - 1", A), parse_poly("x", A)])
+        assert pbw_basis(res, 4) == reference_pbw_basis(res, 4) == []
+
+    @pytest.mark.parametrize("name", ["sl2", "heisenberg-3"])
+    def test_counts_follow_the_atoms(self, name):
+        # PBW theorem: degree counts are the coefficients of the product of
+        # 1/(1 - t^|u|) over the ALSWs u of Irr(S)
+        d = 8
+        res = complete_presentation(catalog(name))
+        leads = res.basis.leads
+        atoms = [
+            w for n in range(1, d + 1) for w in all_words(res.basis.alphabet, n)
+            if rotation_maximal(w.letters)
+            and not any(w.letters[i : i + len(lead)] == lead for lead in leads for i in range(n))
+        ]
+        by_deg = [0] * (d + 1)
+        for m in pbw_basis(res, d):
+            by_deg[m.degree] += 1
+        assert by_deg == product_series([len(u) for u in atoms], d)
+
+    @pytest.mark.parametrize("k, d", [(2, 9), (3, 7)])
+    def test_free_counts_follow_witt(self, k, d):
+        # Witt's formula counts the ALSWs of each length: necklace_count
+        lengths = [n for n in range(1, d + 1) for _ in range(necklace_count(k, n))]
+        by_deg = [0] * (d + 1)
+        for m in pbw_basis(None, d, ABC if k == 3 else BA):
+            by_deg[m.degree] += 1
+        assert by_deg == product_series(lengths, d) == [k**n for n in range(d + 1)]
