@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 
 from .complete import CappedCompletionError, CompletionResult, is_gs_basis
 from .ncpoly import (
@@ -221,10 +220,10 @@ def pbw_basis(S, d: int, alphabet: Alphabet | None = None) -> list[PbwMonomial]:
     if d < 0:
         raise ValueError("degree bound must be >= 0")
 
-    if ruleset.leftmost_match(()) is not None:
-        return []  # the unit ideal: Irr(S), and with it the PBW basis, is empty
     k = len(alphabet)
-    levels = islice(_irr_levels(ruleset, d, k), 1, None)
+    levels = _irr_levels(ruleset, d, k)
+    if not next(levels):
+        return []  # the unit ideal: Irr(S), and with it the PBW basis, is empty
     # with a letter above every letter appended, a proper prefix compares
     # greater; in this order the non-decreasing factor sequences are the
     # index-ordered runs

@@ -28,7 +28,7 @@ from .complete import (
 )
 from .lie import StructureTable, from_structure_constants
 from .ncpoly import NcPolynomial, PolyParseError, parse_poly
-from .rewrite import RuleSet, _lead_automaton, rewrite_word
+from .rewrite import RuleSet, irr_counts, rewrite_word
 from .words import Alphabet, Word
 
 KINDS = ("algebra", "monoid", "group", "lie")
@@ -252,16 +252,11 @@ def complete_presentation(
     return shirshov_complete(rels, cfg)
 
 
-def _word_basis(R: CompletionResult) -> RuleSet:
+def normal_form_word(u: Word, R: CompletionResult):
+    """Unique irreducible representative of u's class, or ZERO on absorption."""
     basis = R.certified_basis()
     if R.non_binomial_rule is not None:
         raise NonBinomialBasisError(f"rule {R.non_binomial_rule} is not binomial or monomial")
-    return basis
-
-
-def normal_form_word(u: Word, R: CompletionResult):
-    """Unique irreducible representative of u's class, or ZERO on absorption."""
-    basis = _word_basis(R)
     basis.query_alphabet(u.alphabet)
     letters = rewrite_word(u.letters, basis)
     return ZERO if letters is None else Word(u.alphabet, letters)
@@ -272,23 +267,8 @@ def word_problem(u: Word, v: Word, R: CompletionResult) -> bool:
 
 
 def growth_series(R: CompletionResult, L: int) -> GrowthSeries:
-    """Counts of irreducible words per length 0..L."""
-    basis = _word_basis(R)
-    if L < 0:
-        raise ValueError("degree bound must be >= 0")
-    # words of length n ending in each live state of the leads' automaton
-    succ = _lead_automaton(basis, len(basis.query_alphabet()))
-    ends = [1] + [0] * (len(succ) - 1) if succ else []
-    counts = []
-    for _ in range(L + 1):
-        counts.append(sum(ends))
-        nxt = [0] * len(succ)
-        for s, c in enumerate(ends):
-            if c:
-                for t in succ[s]:
-                    nxt[t] += c
-        ends = nxt
-    return GrowthSeries(tuple(counts))
+    """Counts of irreducible words per length 0..L, for any certified basis."""
+    return GrowthSeries(tuple(irr_counts(R.certified_basis(), L)))
 
 
 # ---------------------------------------------------------------------------

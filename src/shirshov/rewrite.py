@@ -43,8 +43,7 @@ class RuleSet:
         self.leads: list[tuple[int, ...]] = []
         self.active: dict[int, None] = {}  # active rule indices, in ascending order
         self._by_first: dict[int, list[int]] = {}
-        # active leads by length, each with its rule indices in ascending order
-        self._by_len: dict[int, dict[tuple[int, ...], list[int]]] = {}
+        self._automaton_cache = None  # built on first query, dropped by add and retire
         self.alphabet: Alphabet | None = None
         for r in rules:
             self.add(r)
@@ -70,7 +69,7 @@ class RuleSet:
         self.leads.append(lead.letters)
         self.active[idx] = None
         self._by_first.setdefault(_first(lead.letters), []).append(idx)
-        self._by_len.setdefault(len(lead), {}).setdefault(lead.letters, []).append(idx)
+        self._automaton_cache = None
         return idx
 
     def query_alphabet(self, alphabet: Alphabet | None = None) -> Alphabet:
@@ -90,20 +89,55 @@ class RuleSet:
     def retire(self, idx: int) -> None:
         """Stop matching rule idx; it keeps its slot, so no index moves."""
         del self.active[idx]
-        lead = self.leads[idx]
-        self._by_first[_first(lead)].remove(idx)
-        leads = self._by_len[len(lead)]
-        leads[lead].remove(idx)
-        if not leads[lead]:
-            del leads[lead]
-            if not leads:
-                del self._by_len[len(lead)]
+        self._by_first[_first(self.leads[idx])].remove(idx)
+        self._automaton_cache = None
 
     # -- subword matching --------------------------------------------
-    # Naive multi-pattern scan; words and rule sets stay desk-sized here.
+
+    def _automaton(self, k: int):
+        """(delta, rule): the Aho-Corasick automaton of the active leads over k letters.
+
+        A state is a lead prefix, state 0 the empty word; delta[s][x] is the
+        state after letter x. rule[s] is -1 when no active lead is a suffix
+        of s, else the lowest active index of the longest such lead.
+        """
+        if self._automaton_cache is not None:
+            return self._automaton_cache
+        goto: list[dict[int, int]] = [{}]
+        rule = [-1]
+        for idx in self.active:  # ascending, so the lowest index claims a lead
+            s = 0
+            for x in self.leads[idx]:
+                if x not in goto[s]:
+                    goto[s][x] = len(goto)
+                    goto.append({})
+                    rule.append(-1)
+                s = goto[s][x]
+            if rule[s] < 0:
+                rule[s] = idx
+        # breadth first, so a state's suffix link is final before the state is read
+        link = [0] * len(goto)
+        delta: list[list[int]] = [[]] * len(goto)
+        order = [0]
+        for s in order:
+            row = list(delta[link[s]]) if s else [0] * k
+            if rule[s] < 0:
+                rule[s] = rule[link[s]]
+            for x, t in goto[s].items():
+                link[t] = row[x]
+                row[x] = t
+                order.append(t)
+            delta[s] = row
+        if self.alphabet is not None:  # an alphabet-less set is the free case of any k
+            self._automaton_cache = (delta, rule)
+        return delta, rule
 
     def leftmost_match(self, letters: tuple[int, ...]):
-        """(position, rule index) of the leftmost match, lowest index first."""
+        """(position, rule index) of the leftmost match, lowest index first.
+
+        A naive multi-pattern scan by first letter; words and rule sets stay
+        desk-sized here, and completion changes the set on every adjoin.
+        """
         unit = self._by_first.get(None)
         if unit:
             return (0, unit[0])
@@ -116,11 +150,13 @@ class RuleSet:
 
     def has_lead_suffix(self, letters: tuple[int, ...]) -> bool:
         """True when some active rule lead is a suffix of the given letters."""
-        n = len(letters)
-        for k, leads in self._by_len.items():
-            if k <= n and letters[n - k:] in leads:
-                return True
-        return False
+        if self.alphabet is None:
+            return False  # no rules
+        delta, rule = self._automaton(len(self.alphabet))
+        s = 0
+        for x in letters:
+            s = delta[s][x]
+        return rule[s] >= 0
 
 
 def reduce_with_steps(f: NcPolynomial, S: RuleSet, max_steps: int | None = None):
@@ -172,39 +208,43 @@ def rewrite_word(letters: tuple[int, ...], S: RuleSet, max_steps: int | None = N
     """Normal form of a word: its letters, or None when it reduces to zero.
 
     S must be complete, with rules ``lead - tail`` and ``lead`` only. Letters
-    move from the input onto an output stack that stays irreducible, so after
-    each push only a suffix can be a lead. A lead found there is popped and
-    the tail's letters go back onto the input, to be read again; a monomial
-    rule absorbs the word. A complete basis is confluent (Composition-Diamond
-    lemma), so this order of rewrites reaches the normal form ``reduce``
-    reaches. Each rewrite counts as one step against max_steps.
+    move from the input onto an irreducible output stack, with the lead
+    automaton's state beside each, so one transition finds a lead suffix. A
+    lead found is popped and the tail's letters go back onto the input, to be
+    read again; a monomial rule absorbs the word. A complete basis is
+    confluent (Composition-Diamond lemma), so this order of rewrites reaches
+    the normal form ``reduce`` reaches. Each rewrite is one of max_steps.
     """
     if max_steps is None:
         max_steps = _max_steps()
-    by_len = S._by_len
-    if 0 in by_len:
+    if S.alphabet is None:
+        return tuple(letters)  # no rules
+    delta, rule = S._automaton(len(S.alphabet))
+    if rule[0] >= 0:
         return None  # an active empty lead: the unit ideal
     todo = list(reversed(letters))
     out: list[int] = []
+    states = [0]  # states[i]: the automaton's state after out[:i]
     steps = 0
     while todo:
-        out.append(todo.pop())
-        n = len(out)
-        for k, leads in by_len.items():
-            idxs = leads.get(tuple(out[n - k:])) if k <= n else None
-            if idxs:
-                break
-        else:
+        x = todo.pop()
+        s = delta[states[-1]][x]
+        r = rule[s]
+        if r < 0:
+            out.append(x)
+            states.append(s)
             continue
         steps += 1
         if steps > max_steps:
             raise StepLimitExceeded(f"reduction exceeded {max_steps} steps")
-        terms = iter(S.rules[idxs[0]].terms)
+        terms = iter(S.rules[r].terms)
         next(terms)  # the lead
         tail = next(terms, None)
         if tail is None:
             return None
-        del out[n - k:]
+        n = len(out) + 1 - len(S.leads[r])  # the lead ends in x, not yet pushed
+        del out[n:]
+        del states[n + 1:]
         todo.extend(reversed(tail.letters))
     return tuple(out)
 
@@ -224,23 +264,27 @@ def is_trivial_mod(f: NcPolynomial, S: RuleSet, w: Word) -> bool:
     return reduce(f, S).is_zero()
 
 
-def _irr_levels(S: RuleSet, d: int, k: int):
-    """Irr(S) on letter tuples, one list per length 0..d, each in lex order.
+def _live_moves(S: RuleSet, k: int):
+    """(start, moves): Ufnarovski's graph of chains, whose paths spell Irr(S).
 
-    Breadth-first extension with prefix pruning: children of an irreducible
-    word only need a lead-suffix check.
+    Its nodes are the states no active lead is a suffix of: start is [0], or
+    [] when an active empty lead kills state 0; moves[s] lists (letter, node).
     """
-    level: list[tuple[int, ...]] = [()]
-    yield level
+    delta, rule = S._automaton(k)
+    live = [r < 0 for r in rule]
+    moves = [[(x, t) for x, t in enumerate(row) if live[t]] if live[s] else []
+             for s, row in enumerate(delta)]  # a dead state is never entered
+    return ([0] if live[0] else []), moves
+
+
+def _irr_levels(S: RuleSet, d: int, k: int):
+    """Irr(S) on letter tuples, one list per length 0..d, each in lex order."""
+    start, moves = _live_moves(S, k)
+    level = [((), s) for s in start]  # (word, its automaton state) pairs
+    yield [w for w, _ in level]
     for _ in range(d):
-        nxt = []
-        for w in level:
-            for x in range(k):
-                cand = w + (x,)
-                if not S.has_lead_suffix(cand):
-                    nxt.append(cand)
-        level = nxt
-        yield level
+        level = [(w + (x,), t) for w, s in level for x, t in moves[s]]
+        yield [w for w, _ in level]
 
 
 def irr_words(S: RuleSet, d: int, alphabet: Alphabet | None = None) -> list[Word]:
@@ -248,47 +292,22 @@ def irr_words(S: RuleSet, d: int, alphabet: Alphabet | None = None) -> list[Word
     if d < 0:
         raise ValueError("degree bound must be >= 0")
     alphabet = S.query_alphabet(alphabet)
-    if S.leftmost_match(()) is not None:
-        return []  # unit ideal: empty lead reduces everything
     return [Word(alphabet, w) for level in _irr_levels(S, d, len(alphabet)) for w in level]
 
 
-def _lead_automaton(S: RuleSet, k: int) -> list[list[int]]:
-    """Aho-Corasick automaton of the active leads of S over k letters.
-
-    A state is a prefix of a lead. It is dead when some lead is a suffix of
-    it: when it, or a state on its suffix-link chain, ends a lead. Returns,
-    for each live state, the live states its k letters lead to; a letter into
-    a dead state is left out. The empty word is state 0. With an empty lead
-    (the unit ideal) it is dead, and no state is returned. Reading a word
-    from state 0 stays among live states exactly while the word is
-    irreducible.
-    """
-    goto: list[dict[int, int]] = [{}]
-    dead = [False]
-    for leads in S._by_len.values():
-        for lead in leads:
-            s = 0
-            for x in lead:
-                if x not in goto[s]:
-                    goto[s][x] = len(goto)
-                    goto.append({})
-                    dead.append(False)
-                s = goto[s][x]
-            dead[s] = True
-    if dead[0]:
-        return []
-    # breadth first, so a state's suffix link is final before the state is read
-    link = [0] * len(goto)
-    delta: list[list[int]] = [[]] * len(goto)
-    order = [0]
-    for s in order:
-        row = list(delta[link[s]]) if s else [0] * k
-        dead[s] = dead[s] or dead[link[s]]
-        for x, t in goto[s].items():
-            link[t] = row[x]
-            row[x] = t
-            order.append(t)
-        delta[s] = row
-    live = {s: i for i, s in enumerate([s for s in order if not dead[s]])}
-    return [[live[t] for t in delta[s] if t in live] for s in live]
+def irr_counts(S: RuleSet, d: int, alphabet: Alphabet | None = None) -> list[int]:
+    """Irr(S)'s word count per length 0..d: live paths counted, no word built."""
+    if d < 0:
+        raise ValueError("degree bound must be >= 0")
+    start, moves = _live_moves(S, len(S.query_alphabet(alphabet)))
+    ends = [len(start)] + [0] * (len(moves) - 1)
+    counts = []
+    for _ in range(d + 1):
+        counts.append(sum(ends))
+        nxt = [0] * len(moves)
+        for s, c in enumerate(ends):
+            if c:
+                for _, t in moves[s]:
+                    nxt[t] += c
+        ends = nxt
+    return counts

@@ -245,10 +245,24 @@ class TestBadInput:
         assert "unknown generator 'x'" in capsys.readouterr().err
         assert run(["nf", catalog_file("bicyclic"), "p x"]) == 2
 
-    @pytest.mark.parametrize("argv", [["nf", "e f"], ["growth", "--len", "2"]], ids=["nf", "growth"])
+    @pytest.mark.parametrize("argv", [["nf", "e f"]], ids=["nf"])
     def test_non_binomial_basis_is_usage_error(self, capsys, catalog_file, argv):
         assert run([argv[0], catalog_file("sl2"), *argv[1:]]) == 2
         assert "rule e*f - f*e - h is not binomial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["sl2", "heisenberg-3"])
+    def test_growth_on_non_binomial_basis(self, capsys, catalog_file, name):
+        # Irr(S) is a basis of the quotient for any certified basis: growth
+        # counts the words irr lists
+        path = catalog_file(name)
+        assert run(["growth", path, "--len", "4"]) == 0
+        counts = capsys.readouterr().out
+        assert counts == "1 3 6 10 15\n"
+        assert run(["irr", path, "--deg", "4"]) == 0
+        listed = capsys.readouterr().out.split()
+        assert listed[0] == "1"  # the empty word; every generator is one character
+        lengths = [0] + [len(w) for w in listed[1:]]
+        assert counts == " ".join(str(lengths.count(n)) for n in range(5)) + "\n"
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     def test_bad_step_cap_names_the_variable(self, capsys, monkeypatch, catalog_file, value):

@@ -216,6 +216,40 @@ class TestIrrWords:
                 )
             ]
             assert [w.letters for w in irr_words(S, 5)] == expected
+            for n in range(6):
+                for w in all_words(AB, n):
+                    ends = any(w.letters[n - len(lead):] == lead for lead in active if len(lead) <= n)
+                    assert S.has_lead_suffix(w.letters) == ends, (leads, retired, w)
+        # an empty lead is a suffix of every word while it is active
+        S = RuleSet([NcPolynomial.monomial(Word(AB, (0, 1))), NcPolynomial.one(AB)])
+        assert S.has_lead_suffix(()) and S.has_lead_suffix((1, 0))
+        S.retire(1)
+        assert not S.has_lead_suffix(()) and not S.has_lead_suffix((1, 0))
+        assert S.has_lead_suffix((1, 0, 1))
+        assert not RuleSet().has_lead_suffix((0, 1))
+
+    def test_queries_follow_add_and_retire(self):
+        # with monomial rules a word's normal form is zero exactly when an
+        # active lead is a subword, so every query has a brute-force answer
+        def agrees(S, active):
+            irr = []
+            for w in (w for n in range(6) for w in all_words(AB, n)):
+                t = w.letters
+                inside = any(t[s : s + len(lead)] == lead for lead in active for s in range(len(t) - len(lead) + 1))
+                suffix = any(t[len(t) - len(lead):] == lead for lead in active if len(lead) <= len(t))
+                assert rewrite_word(t, S) == (None if inside else t), (active, t)
+                assert S.has_lead_suffix(t) == suffix, (active, t)
+                if not inside:
+                    irr.append(w)
+            assert irr_words(S, 5) == irr
+
+        leads = [(0, 1), (1, 1, 1)]
+        S = RuleSet(NcPolynomial.monomial(Word(AB, lead)) for lead in leads)
+        agrees(S, leads)
+        S.add(NcPolynomial.monomial(Word(AB, (1, 0))))
+        agrees(S, leads + [(1, 0)])
+        S.retire(0)
+        agrees(S, [(1, 1, 1), (1, 0)])
 
 
 class TestReduceAgainstReference:
