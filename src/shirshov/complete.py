@@ -173,6 +173,8 @@ def walk_compositions(S: RuleSet, max_degree: int | None = None):
 
     The residue is None, and nothing is reduced, when w exceeds max_degree.
     """
+    if max_degree is not None and max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
     indices = list(S.active)
     for a, i in enumerate(indices):
         for j in indices[a:]:
@@ -256,6 +258,8 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
             raise ValueError("zero polynomial is not a relation")
     if cfg is None:
         cfg = CompletionConfig()
+    if cfg.max_rules is not None and cfg.max_rules < 0:
+        raise ValueError("max_rules must be >= 0")
     max_in = max(len(f.leading()[0]) for f in relations)
     max_degree = cfg.max_degree if cfg.max_degree is not None else max(6, max_in)
     if max_degree < max_in:

@@ -31,10 +31,6 @@ def _max_steps() -> int:
     return n
 
 
-def _first(lead: tuple[int, ...]) -> int | None:
-    return lead[0] if lead else None
-
-
 class RuleSet:
     """An ordered set of monic rewrite rules s, read as s_lead -> s_lead - s."""
 
@@ -42,7 +38,6 @@ class RuleSet:
         self.rules: list[NcPolynomial] = []
         self.leads: list[tuple[int, ...]] = []
         self.active: dict[int, None] = {}  # active rule indices, in ascending order
-        self._by_first: dict[int, list[int]] = {}
         self._automaton_cache = None  # built on first query, dropped by add and retire
         self.alphabet: Alphabet | None = None
         for r in rules:
@@ -68,7 +63,6 @@ class RuleSet:
         self.rules.append(rule)
         self.leads.append(lead.letters)
         self.active[idx] = None
-        self._by_first.setdefault(_first(lead.letters), []).append(idx)
         self._automaton_cache = None
         return idx
 
@@ -89,7 +83,6 @@ class RuleSet:
     def retire(self, idx: int) -> None:
         """Stop matching rule idx; it keeps its slot, so no index moves."""
         del self.active[idx]
-        self._by_first[_first(self.leads[idx])].remove(idx)
         self._automaton_cache = None
 
     # -- subword matching --------------------------------------------
@@ -133,19 +126,23 @@ class RuleSet:
         return delta, rule
 
     def leftmost_match(self, letters: tuple[int, ...]):
-        """(position, rule index) of the leftmost match, lowest index first.
+        """(position, rule index) of the first active lead occurrence to end.
 
-        A naive multi-pattern scan by first letter; words and rule sets stay
-        desk-sized here, and completion changes the set on every adjoin.
+        At that end the longest lead wins, then the lowest index; an active
+        empty lead matches at 0. When no active lead lies inside another,
+        this is the leftmost occurrence. One automaton transition per letter.
         """
-        unit = self._by_first.get(None)
-        if unit:
-            return (0, unit[0])
-        for pos, first in enumerate(letters):
-            for idx in self._by_first.get(first, ()):
-                lead = self.leads[idx]
-                if letters[pos : pos + len(lead)] == lead:
-                    return (pos, idx)
+        if self.alphabet is None:
+            return None  # no rules
+        delta, rule = self._automaton(len(self.alphabet))
+        if rule[0] >= 0:
+            return (0, rule[0])
+        s = 0
+        for end, x in enumerate(letters, 1):
+            s = delta[s][x]
+            r = rule[s]
+            if r >= 0:
+                return (end - len(self.leads[r]), r)
         return None
 
     def has_lead_suffix(self, letters: tuple[int, ...]) -> bool:
@@ -162,13 +159,14 @@ class RuleSet:
 def reduce_with_steps(f: NcPolynomial, S: RuleSet, max_steps: int | None = None):
     """Deterministic reduction; returns (normal form, step count).
 
-    Strategy: rewrite the deg-lex-greatest reducible word of the support, at
-    its leftmost reducible position, with the lowest-index matching rule.
+    Strategy: rewrite the deg-lex-greatest reducible word of the support at
+    ``S.leftmost_match``, the leftmost match in every completion basis; with
+    a nested lead the remainder may differ, a GS-basis verdict cannot.
     Each word is taken once, from the top: a rewrite only adds lower words.
     """
     if max_steps is None:
         max_steps = _max_steps()
-    alphabet = f.alphabet
+    alphabet = S.query_alphabet(f.alphabet)
     terms = {deglex_key(w): c for w, c in f.terms.items()}
     final = {}
     steps = 0

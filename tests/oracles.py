@@ -170,13 +170,51 @@ def random_ideal_element(rng, basis, alphabet, max_degree: int, n_terms: int):
     return total
 
 
-def reference_reduce_with_steps(f: NcPolynomial, S):
-    """Reduction by the classical strategy, one full pass per rewrite.
+def brute_match(letters: tuple[int, ...], S):
+    """RuleSet.leftmost_match's rule by exhaustive scan of S.active and S.leads:
+    the first end position of an active lead occurrence, then the longest
+    lead ending there, then the lowest index.  (position, index) or None."""
+    for end in range(len(letters) + 1):
+        hits = [
+            (-len(S.leads[i]), i)
+            for i in S.active
+            if len(S.leads[i]) <= end and letters[end - len(S.leads[i]) : end] == S.leads[i]
+        ]
+        if hits:
+            neg_len, i = min(hits)
+            return (end + neg_len, i)
+    return None
+
+
+def brute_leftmost_match(letters: tuple[int, ...], S):
+    """The leftmost-starting active lead occurrence, lowest index first."""
+    for pos in range(len(letters) + 1):
+        for i in sorted(S.active):
+            if letters[pos : pos + len(S.leads[i])] == S.leads[i]:
+                return (pos, i)
+    return None
+
+
+def nested_lead(S):
+    """(i, j) for active rules whose leads differ, lead i lying inside lead
+    j, or None: on a set without such a pair brute_match and
+    brute_leftmost_match agree."""
+    for i in S.active:
+        u = S.leads[i]
+        for j in S.active:
+            v = S.leads[j]
+            if u != v and any(v[k : k + len(u)] == u for k in range(len(v) - len(u) + 1)):
+                return (i, j)
+    return None
+
+
+def reference_reduce_with_steps(f: NcPolynomial, S, match=brute_match):
+    """Reduction one full pass per rewrite, matching words with ``match``.
 
     After every step the whole support is sorted again and matched from the
-    top; the deg-lex-greatest reducible word is rewritten at its leftmost
-    match with the lowest-index rule, by subtracting c·a·s·b built as a
-    polynomial.  Returns (normal form, step count).
+    top; the deg-lex-greatest reducible word is rewritten at match(letters, S)
+    by subtracting c·a·s·b built as a polynomial.  Returns (normal form,
+    step count).
     """
     if not len(S) or f.is_zero():
         return f, 0
@@ -185,7 +223,7 @@ def reference_reduce_with_steps(f: NcPolynomial, S):
     while True:
         hit = None
         for w in sorted(terms, key=deglex_key, reverse=True):
-            m = S.leftmost_match(w.letters)
+            m = match(w.letters, S)
             if m is not None:
                 hit = (w, m)
                 break
@@ -269,7 +307,7 @@ def reference_pbw_basis(S, d: int, alphabet: Alphabet | None = None):
     alphabet = ruleset.query_alphabet(alphabet)
     if d < 0:
         raise ValueError("degree bound must be >= 0")
-    if ruleset.leftmost_match(()) is not None:
+    if brute_match((), ruleset) is not None:
         return []
     atoms = [u for u in irr_words(ruleset, d, alphabet) if len(u) > 0 and is_alsw(u)]
     atoms.sort(key=cmp_to_key(cmp_lex_prefix_greater))

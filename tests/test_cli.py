@@ -239,6 +239,24 @@ class TestUsageErrors:
 
 
 class TestBadInput:
+    def test_negative_rule_cap_is_usage_error(self, capsys, catalog_file):
+        # a negative cap would stop completion at once with a false capped_rules
+        assert run(["complete", catalog_file("chinese-3"), "--max-rules", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_rules must be >= 0" in captured.err
+
+    def test_negative_degree_cap_is_usage_error(self, capsys, write):
+        # a negative cap would skip every composition and answer "GS basis: yes"
+        src = "kind: algebra\ngenerators: x y z\nrelations:\n  z*y - x\n  y*x - z\n"
+        path = write("ng.gs", src)
+        assert run(["check", path]) == 1
+        assert "w = zyx: residue z*z - x*x" in capsys.readouterr().out
+        assert run(["check", path, "--max-deg", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_degree must be >= 0" in captured.err
+
     def test_unknown_generator_in_word_is_usage_error(self, capsys, catalog_file):
         # exit 1 would claim the words are "not equal"
         assert run(["eq", catalog_file("bicyclic"), "p", "x"]) == 2

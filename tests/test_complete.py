@@ -10,9 +10,12 @@ from shirshov import (
     NcPolynomial,
     RuleSet,
     Word,
+    catalog,
+    complete_presentation,
     compositions,
     is_gs_basis,
     parse_poly,
+    parse_presentation,
     prime_field,
     reduce,
     shirshov_complete,
@@ -25,8 +28,11 @@ from shirshov.complete import (
     STATUS_UNIT_IDEAL,
     walk_compositions,
 )
+from shirshov.present import CATALOG_NAMES
+from shirshov.rewrite import reduce_with_steps
 
-from oracles import random_ideal_element, reference_compositions
+from oracles import nested_lead, random_ideal_element, reference_compositions
+from test_golden import EXTRA_SOURCES
 
 FEH = Alphabet(("f", "e", "h"))
 PQ = Alphabet(("q", "p"))
@@ -279,6 +285,50 @@ class TestCertifyingPass:
         monkeypatch.setattr(complete, "walk_compositions", leaves_residue)
         with pytest.raises(AssertionError, match="w = hef: residue h after drain"):
             shirshov_complete(sl2_relations())
+
+
+class TestNoNestedActiveLeads:
+    """Completion reduces only against sets where no active lead lies inside
+    another, so RuleSet.leftmost_match's first match to end is the leftmost
+    one there, and completion output does not depend on which it takes."""
+
+    @pytest.fixture
+    def watch(self, monkeypatch):
+        checked = set()  # active index tuples already found free of nesting
+        calls = []
+
+        def watched(f, S, max_steps=None):
+            active = tuple(S.active)
+            if active not in checked:
+                assert nested_lead(S) is None, [S.leads[i] for i in nested_lead(S)]
+                checked.add(active)
+            calls.append(active)
+            return reduce_with_steps(f, S, max_steps)
+
+        monkeypatch.setattr(complete, "reduce_with_steps", watched)
+        return calls
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_catalog(self, watch, name):
+        complete_presentation(catalog(name))
+        assert watch
+
+    @pytest.mark.parametrize("name", ["retiring-complete", "retiring-capped"])
+    def test_retiring_sources(self, watch, name):
+        res = complete_presentation(parse_presentation(EXTRA_SOURCES[name]), CompletionConfig(max_degree=5))
+        assert res.stats["rules_added"] > len(res.basis)  # interreduction retired rules
+        assert watch
+
+    @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
+    def test_random_algebra_sets(self, watch, field):
+        rng = random.Random(9173)
+        retired = 0
+        for _ in range(30):
+            alphabet, cap = rng.choice((BA, XYZ)), rng.randint(4, 5)
+            rels = [_random_rule(rng, alphabet, field) for _ in range(rng.randint(2, 3))]
+            res = shirshov_complete(rels, CompletionConfig(max_degree=cap, max_rules=25))
+            retired += res.stats["rules_added"] > len(res.basis)
+        assert retired and watch
 
 
 class TestIsGsBasis:

@@ -30,10 +30,18 @@ from shirshov.rewrite import (
 )
 from shirshov.words import AlphabetMismatchError, deglex_key
 
-from oracles import all_words, random_ideal_element, reference_reduce_with_steps
+from oracles import (
+    all_words,
+    brute_leftmost_match,
+    brute_match,
+    nested_lead,
+    random_ideal_element,
+    reference_reduce_with_steps,
+)
 
 FEH = Alphabet(("f", "e", "h"))
 AB = Alphabet(("x", "y"))
+ABC = Alphabet(("a", "b", "c"))
 XYZ = Alphabet(("x", "y", "z"))
 BA = Alphabet(("a", "b"))
 
@@ -72,6 +80,13 @@ class TestReduce:
         f = parse_poly("y*x", AB)
         assert reduce(f, RuleSet()) == f
 
+    @pytest.mark.parametrize("text,symbols", [("z*x", "xyz"), ("y*x", "yx")], ids=["larger", "same_size"])
+    def test_foreign_alphabet(self, text, symbols):
+        # the lead automaton reads letters as indices into the basis's alphabet
+        f = parse_poly(text, Alphabet(tuple(symbols)))
+        with pytest.raises(AlphabetMismatchError):
+            reduce(f, RuleSet([parse_poly("x - 1", AB)]))
+
     def test_idempotence_random(self):
         rng = random.Random(41)
         S = sl2_rules()
@@ -107,6 +122,50 @@ class TestReduce:
                 continue
             lead, _ = f.leading()
             assert S.leftmost_match(lead.letters) is not None
+
+
+class TestLeftmostMatch:
+    """The automaton's first-to-end match against brute-force scans, on
+    random sets with retired rules, equal leads and empty leads."""
+
+    def test_against_brute_force(self):
+        rng = random.Random(7211)
+        nested = flat = 0
+        for _ in range(300):
+            alphabet = rng.choice((AB, XYZ))
+            k = len(alphabet)
+            S = RuleSet()
+            for _ in range(rng.randint(1, 6)):
+                if S.leads and rng.random() < 0.2:
+                    lead = rng.choice(S.leads)  # an equal lead
+                elif rng.random() < 0.05:
+                    lead = ()
+                else:
+                    lead = tuple(rng.randrange(k) for _ in range(rng.randint(1, 4)))
+                S.add(NcPolynomial.monomial(Word(alphabet, lead)))
+                if len(S.active) > 1 and rng.random() < 0.3:
+                    S.retire(rng.choice(list(S.active)))
+                leads = [S.leads[i] for i in S.active]
+                flat_set = nested_lead(S) is None
+                for _ in range(10):
+                    letters = tuple(rng.randrange(k) for _ in range(rng.randint(0, 10)))
+                    got = S.leftmost_match(letters)
+                    assert got == brute_match(letters, S), (leads, letters)
+                    if flat_set:
+                        assert got == brute_leftmost_match(letters, S), (leads, letters)
+                flat += flat_set
+                nested += not flat_set
+        assert nested > 100 and flat > 100
+
+    def test_nested_lead_remainder(self):
+        # c*a*b contains the lead a: the first match to end rewrites the a
+        # inside c*b*a*c*a*b, the leftmost scan rewrites that word at c*a*b
+        S = RuleSet([parse_poly("c*a*b + 1/2*a*a - 1", ABC), parse_poly("a - 1", ABC)])
+        f = parse_poly("c*b*a*c*a*b + b*c*a + c", ABC)
+        assert reduce(f, S) == parse_poly("c*b*c*b + b*c + c", ABC)
+        assert reference_reduce_with_steps(f, S)[0] == reduce(f, S)
+        leftmost, _ = reference_reduce_with_steps(f, S, brute_leftmost_match)
+        assert leftmost == parse_poly("1/2*c*b + b*c + c", ABC)
 
 
 class TestIsTrivialMod:
