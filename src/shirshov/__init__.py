@@ -23,7 +23,7 @@ from .ncpoly import (
     prime_field,
     render_poly,
 )
-from .rewrite import RuleSet, irr_words, is_trivial_mod, reduce
+from .rewrite import RuleSet, irr_words, reduce
 from .complete import (
     Composition,
     CompletionConfig,
@@ -73,7 +73,6 @@ __all__ = [
     "prime_field",
     "RuleSet",
     "reduce",
-    "is_trivial_mod",
     "irr_words",
     "Composition",
     "CompletionConfig",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 mathematical negative (not a GS basis, words not
 equal), 2 usage/parse error, 3 completion cap reached where completeness
-is required, or the reduction step cap reached.
+is required, the reduction step cap reached, or a check that found no
+failure but left compositions above its degree cap unchecked.
 """
 
 from __future__ import annotations
@@ -149,14 +150,21 @@ def _dispatch(args) -> int:
 
     if args.command == "check":
         rels = [f.monic() for f in to_algebra_relations(p)]
-        checked, failures = 0, []
+        checked, skipped, failures = 0, 0, []
         for comp, residue, _ in walk_compositions(RuleSet(rels), args.max_deg):
             if residue is None:
+                skipped += 1
                 continue
             checked += 1
             if not residue.is_zero():
                 failures.append((comp.w, residue))
         if not failures:
+            if skipped:
+                print(
+                    f"GS basis: unknown ({len(rels)} rules, {checked} compositions checked; "
+                    f"{skipped} compositions above degree {args.max_deg} were not checked)"
+                )
+                return EXIT_CAPPED
             print(f"GS basis: yes ({len(rels)} rules, {checked} compositions checked)")
             return EXIT_OK
         print(f"GS basis: no ({len(failures)} failing compositions)")

@@ -294,30 +294,17 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
             if rule_cap_hit():
                 break
 
-    # Certifying pass over the final basis; it can only confirm, never adjoin.
-    # Every pair of final rules was pushed when the later one was added and
-    # popped before the heap ran dry: it was over the cap, or its value got a
-    # representation below w.  By induction from the last retirement, a rule
-    # retired later is a combination of final rules with words no larger than
-    # its lead.  So every composition with |w| <= cap is trivial modulo (S, w),
-    # and as the Composition-Diamond lemma's proof uses only overlaps below w,
-    # each one reduces to zero again here.
-    if not loop.unit and not rule_cap_hit():
-        loop.skipped = 0  # the final basis's over-cap pairs decide the status
-        for comp, residue, steps in walk_compositions(loop.basis, max_degree):
-            if residue is None:
-                loop.skipped += 1
-                continue
-            loop.reduction_steps += steps
-            if not residue.is_zero():
-                raise AssertionError(f"w = {comp.w}: residue {residue} after drain")
-
     basis = RuleSet(loop.basis.rules[i] for i in loop.basis.active)
     if loop.unit:
         status = STATUS_UNIT_IDEAL
         basis = RuleSet([NcPolynomial.one(relations[0].alphabet)])
     elif rule_cap_hit():
         status = STATUS_CAPPED_RULES
+    # An emptied heap certifies: each final pair's compositions were popped
+    # while both rules were active, and one within the cap was trivial modulo
+    # (S, w) then and stays so (Composition-Diamond lemma).  The heap pops by
+    # |w| first, so over-cap pops come last and change no rule: loop.skipped
+    # is the final basis's over-cap count.
     elif loop.skipped:
         status = STATUS_CAPPED_DEGREE
     else:

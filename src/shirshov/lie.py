@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .complete import CappedCompletionError, CompletionResult, is_gs_basis
+from .complete import CompletionResult, is_gs_basis
 from .ncpoly import (
     LieTerm,
     NcPolynomial,
@@ -29,9 +29,6 @@ class NotAlswError(ValueError):
 
 class NotLieElementError(ValueError):
     pass
-
-
-CappedBasisError = CappedCompletionError
 
 
 def is_alsw(u: Word) -> bool:

@@ -1,21 +1,17 @@
-"""Reduction modulo a rule set, triviality mod (S,w), and Irr(S) enumeration."""
+"""Reduction modulo a rule set, and Irr(S) enumeration."""
 
 from __future__ import annotations
 
 import os
 
 from .ncpoly import NcPolynomial
-from .words import Alphabet, AlphabetMismatchError, Word, cmp_deglex, deglex_key
+from .words import Alphabet, AlphabetMismatchError, Word, deglex_key
 
 DEFAULT_MAX_STEPS = 10**7
 
 
 class StepLimitExceeded(RuntimeError):
     """The reduction step safety cap was hit."""
-
-
-class TrivialityPreconditionError(ValueError):
-    """is_trivial_mod called with leading word >= w."""
 
 
 def _max_steps() -> int:
@@ -245,21 +241,6 @@ def rewrite_word(letters: tuple[int, ...], S: RuleSet, max_steps: int | None = N
         del states[n + 1:]
         todo.extend(reversed(tail.letters))
     return tuple(out)
-
-
-def is_trivial_mod(f: NcPolynomial, S: RuleSet, w: Word) -> bool:
-    """True iff f reduces to 0; requires f = 0 or leading(f) < w.
-
-    Every rewrite step stays at words <= leading(f) < w, so reduction to zero
-    witnesses a normal-S-word representation below w.
-    """
-    if not f.is_zero():
-        lead, _ = f.leading()
-        if cmp_deglex(lead, w) != -1:
-            raise TrivialityPreconditionError(
-                f"leading word {lead} is not below the bound {w}"
-            )
-    return reduce(f, S).is_zero()
 
 
 def _live_moves(S: RuleSet, k: int):

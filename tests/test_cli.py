@@ -11,6 +11,8 @@ from shirshov.cli import run
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 RUNAWAY_SRC = "kind: algebra\ngenerators: y x\nrelations:\n  x*x - x*y\n"
+# not a GS basis: its one composition, w = zyx, leaves the residue z*z - x*x
+NG_SRC = "kind: algebra\ngenerators: x y z\nrelations:\n  z*y - x\n  y*x - z\n"
 # x = 1 and x = 0: the quotient is zero, so every word is the zero class
 UNIT_IDEAL_SRC = "kind: algebra\ngenerators: x y\nrelations:\n  x - 1\n  x\n"
 # arguments after the file, for each subcommand that needs a certified basis
@@ -104,6 +106,22 @@ class TestCheck:
         code = run(["check", write("one.gs", src)])
         assert code == 0
         assert capsys.readouterr().out.startswith("GS basis: yes")
+
+    @pytest.mark.parametrize("cap", [0, 2])
+    def test_capped_check_is_no_verdict(self, capsys, write, cap):
+        # the one composition, w = zyx, has degree 3: below that cap nothing
+        # is checked, so no answer is a certificate
+        path = write("ng.gs", NG_SRC)
+        assert run(["check", path, "--max-deg", str(cap)]) == 3
+        assert capsys.readouterr().out == (
+            "GS basis: unknown (2 rules, 0 compositions checked; "
+            f"1 compositions above degree {cap} were not checked)\n"
+        )
+
+    def test_cap_reaching_the_failure_is_negative(self, capsys, write):
+        path = write("ng.gs", NG_SRC)
+        assert run(["check", path, "--max-deg", "3"]) == 1
+        assert capsys.readouterr().out == "GS basis: no (1 failing compositions)\n  w = zyx: residue z*z - x*x\n"
 
 
 class TestComplete:
@@ -247,9 +265,8 @@ class TestBadInput:
         assert "max_rules must be >= 0" in captured.err
 
     def test_negative_degree_cap_is_usage_error(self, capsys, write):
-        # a negative cap would skip every composition and answer "GS basis: yes"
-        src = "kind: algebra\ngenerators: x y z\nrelations:\n  z*y - x\n  y*x - z\n"
-        path = write("ng.gs", src)
+        # a negative cap would skip every composition, so it checks nothing
+        path = write("ng.gs", NG_SRC)
         assert run(["check", path]) == 1
         assert "w = zyx: residue z*z - x*x" in capsys.readouterr().out
         assert run(["check", path, "--max-deg", "-1"]) == 2

@@ -32,7 +32,7 @@ from shirshov.present import CATALOG_NAMES
 from shirshov.rewrite import reduce_with_steps
 
 from oracles import nested_lead, random_ideal_element, reference_compositions
-from test_golden import EXTRA_SOURCES
+from test_golden import CASES as GOLDEN_CASES, EXTRA_SOURCES, _source as golden_source
 
 FEH = Alphabet(("f", "e", "h"))
 PQ = Alphabet(("q", "p"))
@@ -259,9 +259,18 @@ class TestShirshovComplete:
                 )
 
 
+def _assert_drain_certified(res, cap):
+    """A complete or capped_degree result: the drain's skip count is the final
+    basis's over-cap count, and every composition within the cap is trivial."""
+    if res.status in (STATUS_COMPLETE, STATUS_CAPPED_DEGREE):
+        walked = walk_compositions(res.basis, cap)
+        assert res.stats["compositions_skipped"] == sum(residue is None for _, residue, _ in walked)
+        assert is_gs_basis(res.basis, cap) == (True, [])
+
+
 class TestCertifyingPass:
-    """After drain, the pass over the final basis re-reduces every composition
-    and finds nothing to adjoin, also when interreduction retired rules."""
+    """The drain is the whole completion: what it reports needs no second
+    walk of the final basis, also when interreduction retired rules."""
 
     @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
     def test_random_sets_certify(self, field):
@@ -271,20 +280,21 @@ class TestCertifyingPass:
             alphabet, cap = rng.choice((BA, XYZ)), rng.randint(4, 5)
             rels = [_random_rule(rng, alphabet, field) for _ in range(rng.randint(2, 3))]
             res = shirshov_complete(rels, CompletionConfig(max_degree=cap, max_rules=25))
+            _assert_drain_certified(res, cap)
             if res.status == STATUS_COMPLETE:
-                assert is_gs_basis(res.basis, cap) == (True, [])
                 # rules_added also counts the rules interreduction retired
                 retired_and_complete += res.stats["rules_added"] > len(res.basis)
         assert retired_and_complete > 10
 
-    def test_nonzero_residue_raises(self, monkeypatch):
-        def leaves_residue(S, max_degree=None):
-            for comp, _, steps in walk_compositions(S, max_degree):
-                yield comp, parse_poly("h", FEH), steps
-
-        monkeypatch.setattr(complete, "walk_compositions", leaves_residue)
-        with pytest.raises(AssertionError, match="w = hef: residue h after drain"):
-            shirshov_complete(sl2_relations())
+    @pytest.mark.parametrize(
+        "name,max_deg", GOLDEN_CASES, ids=[f"{n}@{d or 'default'}" for n, d in GOLDEN_CASES]
+    )
+    def test_sources_certify(self, name, max_deg):
+        # the catalog and the golden extra sources, at the golden caps
+        cap = max_deg or 6
+        presentation = parse_presentation(golden_source(name))
+        res = complete_presentation(presentation, CompletionConfig(max_degree=cap))
+        _assert_drain_certified(res, cap)
 
 
 class TestNoNestedActiveLeads:

@@ -21,8 +21,8 @@ from shirshov import (
     shirshov_complete,
     shirshov_factorize,
 )
-from shirshov.lie import CappedBasisError, NotAlswError, NotLieElementError
-from shirshov.complete import CompletionConfig
+from shirshov.lie import NotAlswError, NotLieElementError
+from shirshov.complete import CappedCompletionError, CompletionConfig
 from shirshov.words import AlphabetMismatchError
 
 from oracles import (
@@ -323,7 +323,7 @@ class TestPbwBasis:
     def test_capped_rejected(self):
         f = parse_poly("x*x - x*y", Alphabet(("y", "x")))
         res = shirshov_complete([f], CompletionConfig(max_degree=4))
-        with pytest.raises(CappedBasisError):
+        with pytest.raises(CappedCompletionError):
             pbw_basis(res, 3)
 
     def test_factor_sequences_monotone(self):

@@ -11,10 +11,8 @@ from shirshov import (
     RuleSet,
     Word,
     catalog,
-    cmp_deglex,
     complete_presentation,
     irr_words,
-    is_trivial_mod,
     parse_poly,
     parse_presentation,
     prime_field,
@@ -24,7 +22,6 @@ from shirshov import (
 from shirshov.complete import STATUS_COMPLETE, CompletionConfig
 from shirshov.rewrite import (
     StepLimitExceeded,
-    TrivialityPreconditionError,
     reduce_with_steps,
     rewrite_word,
 )
@@ -166,29 +163,6 @@ class TestLeftmostMatch:
         assert reference_reduce_with_steps(f, S)[0] == reduce(f, S)
         leftmost, _ = reference_reduce_with_steps(f, S, brute_leftmost_match)
         assert leftmost == parse_poly("1/2*c*b + b*c + c", ABC)
-
-
-class TestIsTrivialMod:
-    def test_zero_is_trivial(self):
-        S = sl2_rules()
-        assert is_trivial_mod(NcPolynomial.zero(FEH), S, FEH.word("hef"))
-
-    def test_sl2_composition(self):
-        # the hef composition of the sl2 rules; its leading word hfe is
-        # below the lcm hef since f < e at the second letter
-        S = sl2_rules()
-        comp = parse_poly("h*f*e - e*h*f + h*h - 2*e*f", FEH)
-        assert cmp_deglex(comp.leading()[0], FEH.word("hef")) == -1
-        assert is_trivial_mod(comp, S, FEH.word("hef"))
-
-    def test_irreducible_nonzero_is_not_trivial(self):
-        S = RuleSet([parse_poly("y*x - x*y", AB)])
-        assert not is_trivial_mod(parse_poly("x", AB), S, AB.word("yx"))
-
-    def test_precondition_violation_distinct(self):
-        S = RuleSet([parse_poly("y*x - x*y", AB)])
-        with pytest.raises(TrivialityPreconditionError):
-            is_trivial_mod(parse_poly("y*x*x", AB), S, AB.word("yx"))
 
 
 class TestIrrWords:
