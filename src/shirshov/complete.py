@@ -52,12 +52,12 @@ class Composition:
 
     @property
     def w(self) -> Word:
-        return self.overlap.w
+        return Word(self.rules[0].alphabet, self.overlap.w)
 
     @cached_property
     def value(self) -> NcPolynomial:
         f, g = self.rules
-        a, b = self.overlap.a.letters, self.overlap.b.letters
+        a, b = self.overlap.a, self.overlap.b
         fb, gb = (b, ()) if self.overlap.kind == "intersection" else ((), b)
         terms = {u.letters + fb: c for u, c in f.terms.items()}
         for v, c in g.terms.items():
@@ -148,24 +148,15 @@ def compositions(s1: NcPolynomial, s2: NcPolynomial, i: int = 0, j: int = 1) -> 
         raise ValueError("compositions require monic rules")
     if not len(u) or not len(v):
         return []  # an empty lead reduces every word: all compositions are trivial
-    out: list[Composition] = []
-
-    def add(find, f, g, fi, gi):
-        # leading words cancel at w = fw·b = a·gw, or at w = fw = a·gw·b
-        for ov in find(f.leading()[0], g.leading()[0]):
-            out.append(Composition((fi, gi), ov, (f, g)))
-
-    add(find_intersections, s1, s2, i, j)
+    # leading words cancel at w = fw·b = a·gw, or at w = fw = a·gw·b
+    fg, gf = ((i, j), (s1, s2)), ((j, i), (s2, s1))
+    found = [(fg, find_intersections(u, v))]
     if i != j:
-        add(find_intersections, s2, s1, j, i)
-        add(find_inclusions, s1, s2, i, j)
-        add(find_inclusions, s2, s1, j, i)
-        if u == v:
-            # equal leads of distinct rules: inclusion with a = b = 1
-            ov = Overlap("inclusion", u.alphabet.empty(), u.alphabet.empty(), u)
-            out.append(Composition((i, j), ov, (s1, s2)))
+        found += [(gf, find_intersections(v, u)), (fg, find_inclusions(u, v)), (gf, find_inclusions(v, u))]
+        if u == v:  # equal leads of distinct rules: inclusion with a = b = 1
+            found.append((fg, [Overlap("inclusion", (), (), u.letters)]))
     # a self-pair has no inclusion: find_inclusions(u, u) skips the identity
-    return out
+    return [Composition(source, ov, rules) for (source, rules), overlaps in found for ov in overlaps]
 
 
 def walk_compositions(S: RuleSet, max_degree: int | None = None):
@@ -179,7 +170,7 @@ def walk_compositions(S: RuleSet, max_degree: int | None = None):
     for a, i in enumerate(indices):
         for j in indices[a:]:
             for comp in compositions(S.rules[i], S.rules[j], i, j):
-                if max_degree is not None and len(comp.w) > max_degree:
+                if max_degree is not None and len(comp.overlap.w) > max_degree:
                     yield comp, None, 0
                     continue
                 residue, steps = reduce_with_steps(comp.value, S)
@@ -212,13 +203,19 @@ class _Loop:
         self.unit = False
         self.enforce_binomial = enforce_binomial
 
-    def push_compositions(self, idx: int) -> None:
+    def push_compositions(self, idx: int) -> list[int]:
+        """Queue rule idx's compositions with every active rule, and return the
+        active rules whose lead properly contains idx's lead, ascending."""
+        stale: dict[int, None] = {}
         # idx is the newest rule, so its self-pair comes last
         for other in self.basis.active:
             for comp in compositions(self.basis.rules[idx], self.basis.rules[other], idx, other):
+                w = comp.overlap.w
                 self.seq += 1
-                key = (deglex_key(comp.w), comp.source, self.seq)
-                heapq.heappush(self.heap, (key, comp))
+                heapq.heappush(self.heap, (((len(w), w), comp.source, self.seq), comp))
+                if comp.source == (other, idx) and comp.overlap.kind == "inclusion":
+                    stale[other] = None  # other's lead is a·lead·b with a·b nonempty
+        return list(stale)
 
     def add_rule(self, f: NcPolynomial) -> None:
         """Monicize, install, spawn compositions, and interreduce older rules."""
@@ -229,13 +226,7 @@ class _Loop:
             return
         if self.enforce_binomial and not _is_binomial_shape(f):
             raise NonBinomialRuleError(f"non-binomial rule from word relations: {f}")
-        idx = self.basis.add(f)
-        self.push_compositions(idx)
-        stale = [
-            i
-            for i in self.basis.active
-            if i != idx and find_inclusions(self.basis.rules[i].leading()[0], lead)
-        ]
+        stale = self.push_compositions(self.basis.add(f))
         for i in stale:
             self.basis.retire(i)
         for i in stale:
@@ -283,7 +274,7 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
         (_, comp) = heapq.heappop(loop.heap)
         if comp.source[0] not in active or comp.source[1] not in active:
             continue
-        if len(comp.w) > max_degree:
+        if len(comp.overlap.w) > max_degree:
             loop.skipped += 1
             continue
         residue, steps = reduce_with_steps(comp.value, loop.basis)

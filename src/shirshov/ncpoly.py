@@ -352,6 +352,8 @@ def parse_poly(text: str, alphabet: Alphabet, field=Fraction) -> NcPolynomial:
             i += 1
         if not saw_factor:
             raise PolyParseError("empty term")
+        if expect_factor:
+            raise PolyParseError("dangling '*'")
         w = Word(alphabet, tuple(letters))
         terms[w] = terms.get(w, 0) + coeff
         if i < len(tokens):

@@ -152,7 +152,7 @@ class RuleSet:
         return rule[s] >= 0
 
 
-def reduce_with_steps(f: NcPolynomial, S: RuleSet, max_steps: int | None = None):
+def reduce_with_steps(f: NcPolynomial, S: RuleSet):
     """Deterministic reduction; returns (normal form, step count).
 
     Strategy: rewrite the deg-lex-greatest reducible word of the support at
@@ -160,8 +160,7 @@ def reduce_with_steps(f: NcPolynomial, S: RuleSet, max_steps: int | None = None)
     a nested lead the remainder may differ, a GS-basis verdict cannot.
     Each word is taken once, from the top: a rewrite only adds lower words.
     """
-    if max_steps is None:
-        max_steps = _max_steps()
+    max_steps = _max_steps()
     alphabet = S.query_alphabet(f.alphabet)
     terms = {deglex_key(w): c for w, c in f.terms.items()}
     final = {}
@@ -198,7 +197,7 @@ def reduce(f: NcPolynomial, S: RuleSet) -> NcPolynomial:
     return reduce_with_steps(f, S)[0]
 
 
-def rewrite_word(letters: tuple[int, ...], S: RuleSet, max_steps: int | None = None):
+def rewrite_word(letters: tuple[int, ...], S: RuleSet):
     """Normal form of a word: its letters, or None when it reduces to zero.
 
     S must be complete, with rules ``lead - tail`` and ``lead`` only. Letters
@@ -207,10 +206,9 @@ def rewrite_word(letters: tuple[int, ...], S: RuleSet, max_steps: int | None = N
     lead found is popped and the tail's letters go back onto the input, to be
     read again; a monomial rule absorbs the word. A complete basis is
     confluent (Composition-Diamond lemma), so this order of rewrites reaches
-    the normal form ``reduce`` reaches. Each rewrite is one of max_steps.
+    the normal form ``reduce`` reaches. Each rewrite counts to GS_MAX_STEPS.
     """
-    if max_steps is None:
-        max_steps = _max_steps()
+    max_steps = _max_steps()
     if S.alphabet is None:
         return tuple(letters)  # no rules
     delta, rule = S._automaton(len(S.alphabet))

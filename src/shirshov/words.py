@@ -135,30 +135,30 @@ def cmp_lex_prefix_greater(u: Word, v: Word) -> int:
 
 @dataclass(frozen=True)
 class Overlap:
-    """A nontrivial lcm of two leading words.
+    """A nontrivial lcm of two leading words, on their letter tuples.
 
     intersection: u·b = a·v = w with a, b nonempty.
     inclusion:    u = a·v·b = w.
     """
 
     kind: str  # "intersection" | "inclusion"
-    a: Word
-    b: Word
-    w: Word
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    w: tuple[int, ...]
 
 
 def find_intersections(u: Word, v: Word) -> list[Overlap]:
     """All proper suffix-of-u / prefix-of-v overlaps, by |b| ascending."""
     _check_same(u, v)
-    if not len(u) or not len(v):
+    u, v = u.letters, v.letters
+    if not u or not v:
         raise ValueError("overlap detection needs nonempty words")
     out = []
     # k = overlap length; larger k means shorter b
     for k in range(min(len(u), len(v)) - 1, 0, -1):
-        if u.letters[len(u) - k:] == v.letters[:k]:
-            a = u[: len(u) - k]
+        if u[len(u) - k:] == v[:k]:
             b = v[k:]
-            out.append(Overlap("intersection", a, b, u * b))
+            out.append(Overlap("intersection", u[: len(u) - k], b, u + b))
     return out
 
 
@@ -169,14 +169,14 @@ def find_inclusions(u: Word, v: Word) -> list[Overlap]:
     distinct rules are handled by the caller.
     """
     _check_same(u, v)
-    if not len(u) or not len(v):
+    u, v = u.letters, v.letters
+    if not u or not v:
         raise ValueError("overlap detection needs nonempty words")
     out = []
     for start in range(len(u) - len(v) + 1):
-        if u.letters[start : start + len(v)] == v.letters:
+        if u[start : start + len(v)] == v:
             a = u[:start]
             b = u[start + len(v):]
-            if len(a) == 0 and len(b) == 0:
-                continue
-            out.append(Overlap("inclusion", a, b, u))
+            if a or b:
+                out.append(Overlap("inclusion", a, b, u))
     return out

@@ -127,7 +127,7 @@ class TestCompositionsAgainstReference:
             for s1, s2, i, j in ((f, g, 0, 1), (g, f, 3, 2), (f, f, 0, 0), (g, g, 1, 1)):
                 comps = compositions(s1, s2, i, j)
                 got = [
-                    (c.source, c.overlap.kind, c.overlap.a.letters, c.overlap.b.letters,
+                    (c.source, c.overlap.kind, c.overlap.a, c.overlap.b,
                      c.w.letters, list(c.value.terms.items()))
                     for c in comps
                 ]
@@ -146,23 +146,40 @@ class TestCompositionsAgainstReference:
 
     def test_no_value_over_the_cap(self, monkeypatch):
         # every w of these rules has degree >= 3; at cap 2 nothing is reduced,
-        # so no composition value, and no polynomial at all, is built
+        # so no composition value, and no polynomial at all, is built; overlaps
+        # are letter tuples, so neither compositions() nor a capped walk builds
+        # a word
         S = RuleSet(non_jacobi_relations() + [parse_poly("z*z*y - x", XYZ)])
+        rng = random.Random(4129)
+        pairs = []
+        for trial in range(100):
+            f = _random_rule(rng, XYZ, Fraction)
+            lead = f.leading()[0].letters if trial % 3 == 0 else None
+            pairs.append((f, _random_rule(rng, XYZ, Fraction, lead=lead)))
         built = []
-        init = NcPolynomial.__init__
+        for cls in (NcPolynomial, Word):
+            init = cls.__init__
 
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
+            def counting_init(self, *args, _init=init, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
 
-        monkeypatch.setattr(NcPolynomial, "__init__", counting_init)
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        comps = [
+            c
+            for f, g in pairs
+            for s1, s2, i, j in ((f, g, 0, 1), (f, f, 0, 0))
+            for c in compositions(s1, s2, i, j)
+        ]
+        assert {c.overlap.kind for c in comps} == {"intersection", "inclusion"}
+        assert built == []
         walked = list(walk_compositions(S, 2))
         assert {comp.overlap.kind for comp, _, _ in walked} == {"intersection", "inclusion"}
         assert all(residue is None and steps == 0 for _, residue, steps in walked)
         assert is_gs_basis(S, 2) == (True, [])
         assert built == []
         assert walked[0][0].value is not None
-        assert built
+        assert set(built) == {"NcPolynomial", "Word"}
 
 
 class TestShirshovComplete:
@@ -307,13 +324,13 @@ class TestNoNestedActiveLeads:
         checked = set()  # active index tuples already found free of nesting
         calls = []
 
-        def watched(f, S, max_steps=None):
+        def watched(f, S):
             active = tuple(S.active)
             if active not in checked:
                 assert nested_lead(S) is None, [S.leads[i] for i in nested_lead(S)]
                 checked.add(active)
             calls.append(active)
-            return reduce_with_steps(f, S, max_steps)
+            return reduce_with_steps(f, S)
 
         monkeypatch.setattr(complete, "reduce_with_steps", watched)
         return calls
@@ -339,6 +356,67 @@ class TestNoNestedActiveLeads:
             res = shirshov_complete(rels, CompletionConfig(max_degree=cap, max_rules=25))
             retired += res.stats["rules_added"] > len(res.basis)
         assert retired and watch
+
+
+def _properly_contains(u: tuple, v: tuple) -> bool:
+    return len(u) > len(v) and any(u[s : s + len(v)] == v for s in range(len(u) - len(v) + 1))
+
+
+class TestRetirement:
+    """Each _Loop.add_rule retires exactly the active rules whose lead properly
+    contains the new lead, in ascending order, by a brute-force subword scan."""
+
+    @pytest.fixture
+    def adds(self, monkeypatch):
+        log = []  # one (rule set, expected, retired) entry per add_rule call
+        add_rule, retire = complete._Loop.add_rule, RuleSet.retire
+
+        def watched_add_rule(self, f):
+            lead = f.leading()[0].letters
+            active = self.basis.active if lead else ()  # an empty lead ends the run
+            log.append((self.basis, [i for i in active if _properly_contains(self.basis.leads[i], lead)], []))
+            add_rule(self, f)
+
+        def watched_retire(self, idx):
+            basis, _, retired = log[-1]  # add_rule retires before it requeues
+            assert basis is self
+            retired.append(idx)
+            retire(self, idx)
+
+        monkeypatch.setattr(complete._Loop, "add_rule", watched_add_rule)
+        monkeypatch.setattr(RuleSet, "retire", watched_retire)
+        return log
+
+    @staticmethod
+    def _retiring_adds(log) -> int:
+        for _, expected, retired in log:
+            assert retired == expected
+        return sum(bool(expected) for _, expected, _ in log)
+
+    @pytest.mark.parametrize(
+        "name,max_deg", GOLDEN_CASES, ids=[f"{n}@{d or 'default'}" for n, d in GOLDEN_CASES]
+    )
+    def test_sources(self, adds, name, max_deg):
+        res = complete_presentation(parse_presentation(golden_source(name)), CompletionConfig(max_degree=max_deg))
+        self._retiring_adds(adds)
+        assert adds and res.stats["rules_added"] - len(res.basis) == sum(len(r) for _, _, r in adds)
+
+    @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
+    def test_random_algebra_sets(self, adds, field):
+        rng = random.Random(9181)
+        for _ in range(30):
+            alphabet, cap = rng.choice((BA, XYZ)), rng.randint(4, 5)
+            rels = [_random_rule(rng, alphabet, field) for _ in range(rng.randint(2, 3))]
+            shirshov_complete(rels, CompletionConfig(max_degree=cap, max_rules=25))
+        assert self._retiring_adds(adds) > 10
+
+    def test_equal_lead_is_not_retired(self, adds):
+        # completion only adds irreducible leads; a direct add_rule can repeat one
+        loop = complete._Loop(enforce_binomial=False)
+        for text in ("b*a - a", "b*a - 1", "b*b*a - b", "b - 1"):
+            loop.add_rule(parse_poly(text, BA))
+        assert [expected for _, expected, _ in adds[:4]] == [[], [], [], [0, 1, 2]]
+        self._retiring_adds(adds)
 
 
 class TestIsGsBasis:

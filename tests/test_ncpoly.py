@@ -184,6 +184,9 @@ class TestTextSyntax:
             P("x +", AB)
         with pytest.raises(PolyParseError):
             P("* x", AB)
+        for text in ("x*", "x*+y", "2*", "x*y*"):
+            with pytest.raises(PolyParseError, match="dangling '\\*'"):
+                P(text, AB)
         with pytest.raises(KeyError):
             P("q", AB)
 

@@ -92,14 +92,15 @@ class TestReduce:
             r = reduce(f, S)
             assert reduce(r, S) == r
 
-    def test_multiset_termination_certificate(self):
+    def test_multiset_termination_certificate(self, monkeypatch):
         # every step strictly decreases the support multiset under deg-lex;
         # witnessed by a step bound that the reduction never exceeds
         rng = random.Random(43)
         S = sl2_rules()
+        monkeypatch.setenv("GS_MAX_STEPS", "100000")
         for _ in range(50):
             f = _random_poly(rng, FEH, max_deg=5)
-            _, steps = reduce_with_steps(f, S, max_steps=100_000)
+            _, steps = reduce_with_steps(f, S)
             assert steps <= 100_000
 
     def test_ideal_membership_soundness(self):
@@ -407,11 +408,13 @@ class TestRewriteWordAgainstReduce:
 
 
 class TestRewriteWordStepCap:
-    def test_cap_counts_rewrites(self):
+    def test_cap_counts_rewrites(self, monkeypatch):
         _, S = word_basis("bicyclic")  # q p; the one rule is p q -> 1
+        monkeypatch.setenv("GS_MAX_STEPS", "1")
         with pytest.raises(StepLimitExceeded):
-            rewrite_word((1, 1, 0, 0), S, max_steps=1)
-        assert rewrite_word((1, 1, 0, 0), S, max_steps=2) == ()
+            rewrite_word((1, 1, 0, 0), S)
+        monkeypatch.setenv("GS_MAX_STEPS", "2")
+        assert rewrite_word((1, 1, 0, 0), S) == ()
 
 
 def _random_poly(rng, alphabet, max_deg=4, field=Fraction):

@@ -92,12 +92,13 @@ class TestIntersections:
         out = find_intersections(he.word("he"), he.word("ef"))
         assert len(out) == 1
         ov = out[0]
-        assert ov.a == he.word("h") and ov.b == he.word("f") and ov.w == he.word("hef")
+        assert ov.a == he.word("h").letters and ov.b == he.word("f").letters
+        assert ov.w == he.word("hef").letters
 
     def test_self_overlap(self):
         out = find_intersections(w("xx"), w("xx"))
         assert len(out) == 1
-        assert out[0].w == w("xxx")
+        assert out[0].w == w("xxx").letters
 
     def test_no_common_boundary(self):
         zx = Alphabet(("x", "y", "z"))
@@ -113,12 +114,12 @@ class TestInclusions:
     def test_prefix_occurrence(self):
         out = find_inclusions(w("aba", ABC), w("ab", ABC))
         assert len(out) == 1
-        assert out[0].a == ABC.word("") and out[0].b == ABC.word("a")
+        assert out[0].a == () and out[0].b == ABC.word("a").letters
 
     def test_middle_occurrence(self):
         out = find_inclusions(w("xyx"), w("y"))
         assert len(out) == 1
-        assert out[0].a == w("x") and out[0].b == w("x")
+        assert out[0].a == w("x").letters and out[0].b == w("x").letters
 
     def test_none(self):
         assert find_inclusions(w("ab", ABC), w("ba", ABC)) == []
@@ -130,26 +131,26 @@ class TestInclusions:
 class TestOverlapReconstruction:
     def test_every_overlap_reconstructs_w(self):
         rng = random.Random(11)
-        for _ in range(500)        :
+        for _ in range(500):
             ulen = rng.randrange(1, 6)
             vlen = rng.randrange(1, 6)
             u = Word(AB, tuple(rng.randrange(2) for _ in range(ulen)))
             v = Word(AB, tuple(rng.randrange(2) for _ in range(vlen)))
             for ov in find_intersections(u, v):
-                assert u * ov.b == ov.a * v == ov.w
+                assert u.letters + ov.b == ov.a + v.letters == ov.w
                 assert len(ov.a) and len(ov.b)
                 assert len(ov.w) < len(u) + len(v)
             for ov in find_inclusions(u, v):
-                assert ov.a * v * ov.b == u == ov.w
+                assert ov.a + v.letters + ov.b == u.letters == ov.w
 
     def test_exhaustive_against_position_scan(self):
         words = [wd for n in range(1, 7) for wd in all_words(AB, n)]
         rng = random.Random(3)
         sample = rng.sample([(u, v) for u in words for v in words], 4000)
         for u, v in sample:
-            got = [(ov.a.letters, ov.b.letters) for ov in find_intersections(u, v)]
+            got = [(ov.a, ov.b) for ov in find_intersections(u, v)]
             assert sorted(got) == sorted(brute_intersections(u, v))
-            got = [(ov.a.letters, ov.b.letters) for ov in find_inclusions(u, v)]
+            got = [(ov.a, ov.b) for ov in find_inclusions(u, v)]
             assert sorted(got) == sorted(brute_inclusions(u, v))
 
 
