@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .ncpoly import NcPolynomial, render_poly
+from .ncpoly import NcPolynomial, coefficient_field, render_poly
 from .rewrite import RuleSet, reduce_with_steps
 from .words import Overlap, Word, deglex_key, find_inclusions, find_intersections
 
@@ -288,7 +288,8 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
     basis = RuleSet(loop.basis.rules[i] for i in loop.basis.active)
     if loop.unit:
         status = STATUS_UNIT_IDEAL
-        basis = RuleSet([NcPolynomial.one(relations[0].alphabet)])
+        one = coefficient_field(relations[0].leading()[1])(1)  # the relations' field
+        basis = RuleSet([NcPolynomial.monomial(relations[0].alphabet.empty(), one)])
     elif rule_cap_hit():
         status = STATUS_CAPPED_RULES
     # An emptied heap certifies: each final pair's compositions were popped

@@ -25,13 +25,19 @@ class PolyParseError(ValueError):
     """Malformed polynomial text."""
 
 
+class _PrimeFieldElement:
+    """Base of the element classes :func:`prime_field` builds."""
+
+    __slots__ = ()
+
+
 @lru_cache(maxsize=None)
 def prime_field(p: int):
     """Return an element class for GF(p); optional backend to Fraction."""
     if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
         raise ValueError(f"{p} is not prime")
 
-    class Fp:
+    class Fp(_PrimeFieldElement):
         __slots__ = ("value",)
         modulus = p
 
@@ -92,6 +98,15 @@ def _fp_val(x, p: int) -> int:
     if hasattr(x, "modulus") and x.modulus == p:
         return x.value
     raise TypeError(f"cannot mix {x!r} with GF({p}) elements")
+
+
+def coefficient_field(c):
+    """The field c lies in: ``Fraction`` for Q, else its :func:`prime_field` class."""
+    if isinstance(c, Fraction):
+        return Fraction
+    if isinstance(c, _PrimeFieldElement):
+        return type(c)
+    raise TypeError(f"coefficient {c!r} is neither a Fraction nor a prime_field element")
 
 
 def _coerce_scalar(c):
@@ -320,6 +335,8 @@ def parse_poly(text: str, alphabet: Alphabet, field=Fraction) -> NcPolynomial:
         i = 1
     elif tokens[0] == ("op", "+"):
         i = 1
+    if i == len(tokens):
+        raise PolyParseError("dangling sign")
     while i < len(tokens):
         coeff = field(1) * sign
         letters: list[int] = []

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import os
+from fractions import Fraction
+from math import gcd, lcm
 
-from .ncpoly import NcPolynomial
+from .ncpoly import NcPolynomial, coefficient_field
 from .words import Alphabet, AlphabetMismatchError, Word, deglex_key
 
 DEFAULT_MAX_STEPS = 10**7
@@ -33,9 +35,13 @@ class RuleSet:
     def __init__(self, rules=()):
         self.rules: list[NcPolynomial] = []
         self.leads: list[tuple[int, ...]] = []
+        # per rule, (L, (u, ...), (n, ...)): L times the rule is L·lead + sum n·u
+        # in ints, u running over the tail's letters (over GF(p), L is 1)
+        self.tails: list[tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]] = []
         self.active: dict[int, None] = {}  # active rule indices, in ascending order
         self._automaton_cache = None  # built on first query, dropped by add and retire
         self.alphabet: Alphabet | None = None
+        self.field = None  # Fraction for Q, else the prime_field class; set by the first add
         for r in rules:
             self.add(r)
 
@@ -51,13 +57,16 @@ class RuleSet:
         lead, lc = rule.leading()
         if lc != 1:
             raise ValueError("rules must be monic")
-        if self.alphabet is None:
-            self.alphabet = rule.alphabet
-        elif rule.alphabet != self.alphabet:
+        if self.alphabet is not None and rule.alphabet != self.alphabet:
             raise ValueError("rules over different alphabets")
+        field = self.field or coefficient_field(lc)
+        ints, scale = _integer_form(list(rule.terms.values()), field)
+        self.alphabet = rule.alphabet
+        self.field = field
         idx = len(self.rules)
         self.rules.append(rule)
         self.leads.append(lead.letters)
+        self.tails.append((scale, tuple(u.letters for u in list(rule.terms)[1:]), tuple(ints[1:])))
         self.active[idx] = None
         self._automaton_cache = None
         return idx
@@ -152,6 +161,27 @@ class RuleSet:
         return rule[s] >= 0
 
 
+def _check_field(c, field) -> None:
+    if type(c) is not field and coefficient_field(c) is not field:
+        name = "Q" if field is Fraction else field.__name__
+        raise TypeError(f"cannot mix {c!r} with {name} coefficients")
+
+
+def _integer_form(coeffs: list, field) -> tuple[list[int], int]:
+    """(ints, scale): each coefficient is its int over the scale.
+
+    Over Q the scale is the lcm of the denominators; over GF(p) the ints are
+    the residues and the scale is 1.  A coefficient of another field raises
+    TypeError.
+    """
+    for c in coeffs:
+        _check_field(c, field)
+    if field is not Fraction:
+        return [c.value for c in coeffs], 1
+    scale = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+
+
 def reduce_with_steps(f: NcPolynomial, S: RuleSet):
     """Deterministic reduction; returns (normal form, step count).
 
@@ -159,38 +189,74 @@ def reduce_with_steps(f: NcPolynomial, S: RuleSet):
     ``S.leftmost_match``, the leftmost match in every completion basis; with
     a nested lead the remainder may differ, a GS-basis verdict cannot.
     Each word is taken once, from the top: a rewrite only adds lower words.
+
+    The words above the first reducible one keep their coefficients, and an
+    irreducible f is returned as is.  From there on coefficients are ints:
+    over GF(p) residues, over Q numerators over one running denominator D.
+    A step with numerator c against a rule of integer form scale L scales
+    the pending numerators and D by L/gcd(c, L), when that is not 1, and
+    subtracts c/gcd(c, L) times the rule's ints.  A word that leaves keeps
+    the D it left with and becomes a field element once, at the end.
     """
     max_steps = _max_steps()
     alphabet = S.query_alphabet(f.alphabet)
-    terms = {deglex_key(w): c for w, c in f.terms.items()}
+    field = S.field
+    if field is not None and f.terms:
+        _check_field(f.leading()[1], field)
+    items = iter(f.terms.items())
+    top = []
+    for w, c in items:
+        m = S.leftmost_match(w.letters)
+        if m is not None:
+            break
+        top.append((w, c))
+    else:
+        return f, 0
+    rest = [(w, c), *items]
+    ints, D = _integer_form([c for _, c in rest], field)
+    terms = {deglex_key(u): n for (u, _), n in zip(rest, ints)}
+    p = 0 if field is Fraction else field.modulus
     final = {}
     steps = 0
-    while terms:
-        key = max(terms)
+    key = deglex_key(w)
+    while True:
         w = key[1]
-        m = S.leftmost_match(w)
         if m is None:
-            final[w] = terms.pop(key)
-            continue
-        pos, ridx = m
-        lead_len = len(S.leads[ridx])
-        a = w[:pos]
-        b = w[pos + lead_len:]
-        c = terms[key]
-        for u, cu in S.rules[ridx].terms.items():
-            v = a + u.letters + b
-            vkey = (len(v), v)
-            nv = terms.get(vkey, 0) - cu * c
-            if nv == 0:
-                terms.pop(vkey, None)
-            else:
-                terms[vkey] = nv
-        steps += 1
-        if steps > max_steps:
-            raise StepLimitExceeded(f"reduction exceeded {max_steps} steps")
-    if not steps:
-        return f, 0
-    return NcPolynomial(alphabet, {Word(alphabet, w): c for w, c in final.items()}), steps
+            final[w] = (terms.pop(key), D)
+        else:
+            pos, ridx = m
+            a = w[:pos]
+            b = w[pos + len(S.leads[ridx]):]
+            c = terms.pop(key)
+            L, us, ns = S.tails[ridx]
+            if L != 1:
+                g = gcd(c, L)
+                if g != L:
+                    k = L // g
+                    D *= k
+                    terms = {t: n * k for t, n in terms.items()}
+                c //= g
+            for u, n in zip(us, ns):
+                v = a + u + b
+                vkey = (len(v), v)
+                nv = terms.get(vkey, 0) - c * n
+                if p:
+                    nv %= p
+                if nv:
+                    terms[vkey] = nv
+                else:
+                    del terms[vkey]
+            steps += 1
+            if steps > max_steps:
+                raise StepLimitExceeded(f"reduction exceeded {max_steps} steps")
+        if not terms:
+            break
+        key = max(terms)
+        m = S.leftmost_match(key[1])
+    out = dict(top)
+    for w, (n, d) in final.items():
+        out[Word(alphabet, w)] = field(n) if p else Fraction(n, d)
+    return NcPolynomial(alphabet, out), steps
 
 
 def reduce(f: NcPolynomial, S: RuleSet) -> NcPolynomial:
@@ -229,15 +295,13 @@ def rewrite_word(letters: tuple[int, ...], S: RuleSet):
         steps += 1
         if steps > max_steps:
             raise StepLimitExceeded(f"reduction exceeded {max_steps} steps")
-        terms = iter(S.rules[r].terms)
-        next(terms)  # the lead
-        tail = next(terms, None)
-        if tail is None:
+        tail = S.tails[r][1]  # its words' letters
+        if not tail:
             return None
         n = len(out) + 1 - len(S.leads[r])  # the lead ends in x, not yet pushed
         del out[n:]
         del states[n + 1:]
-        todo.extend(reversed(tail.letters))
+        todo.extend(reversed(tail[0]))
     return tuple(out)
 
 

@@ -217,6 +217,16 @@ class TestShirshovComplete:
         assert res.status == STATUS_COMPLETE
         assert is_gs_basis(res2.basis) == (True, [])
 
+    def test_unit_ideal_basis_keeps_the_field(self):
+        # the unit rule is 1 of the relations' field, so the field's queries still reduce
+        F = prime_field(7)
+        A = Alphabet(("x", "y"))
+        res = shirshov_complete([parse_poly("x - 1", A, field=F), parse_poly("x - 2", A, field=F)])
+        assert res.status == STATUS_UNIT_IDEAL
+        (one,) = res.basis.rules[0].terms.values()
+        assert type(one) is F
+        assert reduce(parse_poly("x*y + 3", A, field=F), res.basis).is_zero()
+
     def test_degree_cap_reported(self):
         # x*x -> x*y spawns the infinite family x y^n x -> x y^(n+1);
         # the cap must be reported honestly, never as complete

@@ -187,6 +187,9 @@ class TestTextSyntax:
         for text in ("x*", "x*+y", "2*", "x*y*"):
             with pytest.raises(PolyParseError, match="dangling '\\*'"):
                 P(text, AB)
+        for text in ("-", "+", " - "):
+            with pytest.raises(PolyParseError, match="dangling sign"):
+                P(text, AB)
         with pytest.raises(KeyError):
             P("q", AB)
 

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -286,11 +287,20 @@ class TestIrrWords:
         agrees(S, [(1, 1, 1), (1, 0)])
 
 
+def _assert_field_elements(f: NcPolynomial, field):
+    for c in f.terms.values():
+        assert type(c) is field, (c, field)
+
+
 class TestReduceAgainstReference:
     """The top-down walk must take the same steps as the reference loop,
     which sorts and matches the whole support again after every rewrite."""
 
-    @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
+    @pytest.mark.parametrize(
+        "field",
+        [Fraction, prime_field(32003), prime_field(2), prime_field(7)],
+        ids=["Q", "GF32003", "GF2", "GF7"],
+    )
     @pytest.mark.parametrize("retire", [False, True], ids=["raw", "one_retired"])
     def test_same_normal_form_and_steps(self, field, retire):
         rng = random.Random(4099)
@@ -311,10 +321,39 @@ class TestReduceAgainstReference:
             want, want_steps = reference_reduce_with_steps(f, S)
             assert steps == want_steps
             assert list(got.terms.items()) == list(want.terms.items())
+            _assert_field_elements(got, field)
             if not steps:
                 assert got is f
             total_steps += steps
         assert total_steps > 0
+
+    def test_same_normal_form_and_steps_with_huge_fractions(self):
+        # rule coefficients with numerators and denominators above 2**64, so
+        # the running denominator outgrows every machine word
+        rng = random.Random(8191)
+
+        def big():
+            return Fraction(rng.choice((-1, 1)) * rng.randrange(2**64, 2**70), rng.randrange(2**64, 2**70))
+
+        total_steps = 0
+        huge = False
+        for _ in range(60):
+            n_rules = rng.randint(2, 3)
+            rules = []
+            while len(rules) < n_rules:
+                g = _random_poly(rng, XYZ, 3)
+                if not g.is_zero() and len(g.leading()[0]) > 0:
+                    rules.append(NcPolynomial(XYZ, {w: big() for w in g.terms}).monic())
+            S = RuleSet(rules)
+            f = NcPolynomial(XYZ, {w: big() for w in _random_poly(rng, XYZ, 6).terms})
+            got, steps = reduce_with_steps(f, S)
+            want, want_steps = reference_reduce_with_steps(f, S)
+            assert steps == want_steps
+            assert list(got.terms.items()) == list(want.terms.items())
+            _assert_field_elements(got, Fraction)
+            total_steps += steps
+            huge = huge or any(c.denominator > 2**64 for c in got.terms.values())
+        assert total_steps > 0 and huge
 
     def test_unit_rule(self):
         S = RuleSet([parse_poly("x*y - y", AB), NcPolynomial.one(AB)])
@@ -322,6 +361,50 @@ class TestReduceAgainstReference:
         assert S.leftmost_match(()) == (0, 1)
         assert irr_words(S, 3) == []
         assert reduce(parse_poly("y*y + 3", AB), S).is_zero()
+
+
+GF5, GF7 = prime_field(5), prime_field(7)
+
+
+class TestFieldGuard:
+    """A rule set and everything reduced against it share one field."""
+
+    @pytest.mark.parametrize(
+        "first, second", [(Fraction, GF7), (GF7, Fraction), (GF5, GF7), (GF7, GF5)],
+        ids=["Q-GF7", "GF7-Q", "GF5-GF7", "GF7-GF5"],
+    )
+    def test_rule_set_rejects_another_field(self, first, second):
+        with pytest.raises(TypeError, match="cannot mix"):
+            RuleSet([parse_poly("x*y - 3*y", AB, field=first), parse_poly("y*y - x", AB, field=second)])
+
+    @pytest.mark.parametrize(
+        "rules, poly", [(GF7, Fraction), (Fraction, GF7), (GF7, GF5), (GF5, GF7)],
+        ids=["Q-on-GF7", "GF7-on-Q", "GF5-on-GF7", "GF7-on-GF5"],
+    )
+    def test_reduce_rejects_another_field(self, rules, poly):
+        S = RuleSet([parse_poly("x*y - 3*y", AB, field=rules)])
+        # reducible and irreducible polynomials alike
+        for text in ("x*y*x + 1/2*y", "y*x + 1/2*y"):
+            with pytest.raises(TypeError, match="cannot mix"):
+                reduce(parse_poly(text, AB, field=poly), S)
+
+    def test_rejects_a_coefficient_of_no_field(self):
+        y = AB.word("y")
+        with pytest.raises(TypeError, match="neither a Fraction nor a prime_field"):
+            RuleSet([NcPolynomial(AB, {AB.word("x y"): complex(1), y: 2})])
+        S = RuleSet([parse_poly("x*y - 3*y", AB)])
+        with pytest.raises(TypeError, match="neither a Fraction nor a prime_field"):
+            reduce(NcPolynomial(AB, {AB.word("x y x"): Decimal(2)}), S)
+        with pytest.raises(TypeError, match="neither a Fraction nor a prime_field"):
+            reduce(NcPolynomial(AB, {AB.word("x y x"): Fraction(1), y: Decimal(2)}), S)
+
+    def test_a_rejected_rule_leaves_the_set_as_it_was(self):
+        S = RuleSet()
+        with pytest.raises(TypeError):
+            S.add(NcPolynomial(AB, {AB.word("x y"): Fraction(1), AB.word("y"): GF7(2)}))
+        assert (len(S), S.alphabet, S.field) == (0, None, None)
+        S.add(parse_poly("y - 2*x", AB, field=GF7))
+        assert S.field is GF7
 
 
 WORD_BASES = (
