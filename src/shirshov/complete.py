@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .ncpoly import NcPolynomial, coefficient_field, render_poly
-from .rewrite import RuleSet, reduce_with_steps
+from .rewrite import RuleSet, _field_poly, _reduce_ints, _rewrite, reduce_with_steps
 from .words import Overlap, Word, deglex_key, find_inclusions, find_intersections
 
 STATUS_COMPLETE = "complete"
@@ -38,33 +38,33 @@ class NonBinomialRuleError(AssertionError):
 
 @dataclass(frozen=True)
 class Composition:
-    """An S-polynomial of two rules relative to an lcm w of their leads.
+    """An S-polynomial of rules ``source`` = (f, g) of ``basis`` at an lcm w of their leads.
 
-    ``rules`` is the pair (f, g) in the overlap's orientation.  The value,
-    f·b - a·g for an intersection and f - a·g·b for an inclusion, is built
-    the first time it is read: compositions over the degree cap, or of a
-    retired rule, are never reduced and never need it.
+    Its value, f·b - a·g for an intersection and f - a·g·b for an inclusion,
+    is w's rewrite by g at a minus its rewrite by f at the front: ``ints``
+    forms it on integer forms, and ``value`` renders it only when read.
     """
 
     source: tuple[int, int]
     overlap: Overlap
-    rules: tuple[NcPolynomial, NcPolynomial] = field(compare=False, repr=False)
+    basis: RuleSet = field(compare=False, repr=False)
 
     @property
     def w(self) -> Word:
-        return Word(self.rules[0].alphabet, self.overlap.w)
+        return Word(self.basis.alphabet, self.overlap.w)
 
-    @cached_property
+    def ints(self) -> tuple[dict, int]:
+        """(terms, D): the value as numerators over D, as ``_reduce_ints`` takes it."""
+        i, j = self.source
+        ov = self.overlap
+        fb, gb = (ov.b, ()) if ov.kind == "intersection" else ((), ov.b)
+        terms: dict = {}
+        D = _rewrite(self.basis, terms, 1, 1, ov.a, gb, j)
+        return terms, _rewrite(self.basis, terms, D, -D, (), fb, i)
+
+    @property
     def value(self) -> NcPolynomial:
-        f, g = self.rules
-        a, b = self.overlap.a, self.overlap.b
-        fb, gb = (b, ()) if self.overlap.kind == "intersection" else ((), b)
-        terms = {u.letters + fb: c for u, c in f.terms.items()}
-        for v, c in g.terms.items():
-            key = a + v.letters + gb
-            terms[key] = terms.get(key, 0) - c
-        alphabet = f.alphabet
-        return NcPolynomial(alphabet, {Word(alphabet, k): c for k, c in terms.items()})
+        return _field_poly(self.basis, *self.ints())
 
 
 @dataclass(frozen=True)
@@ -135,28 +135,25 @@ class CompletionResult:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
 
 
-def compositions(s1: NcPolynomial, s2: NcPolynomial, i: int = 0, j: int = 1) -> list[Composition]:
-    """All intersection and inclusion compositions of a rule pair.
+def compositions(S: RuleSet, i: int, j: int) -> list[Composition]:
+    """All intersection and inclusion compositions of rules i and j of S.
 
     Both orientations are produced; for a self-pair only the genuinely
     distinct overlaps appear.  Trivial lcm's (u·c·v) are never generated:
     over a field their compositions are trivial.
     """
-    u, lc1 = s1.leading()
-    v, lc2 = s2.leading()
-    if lc1 != 1 or lc2 != 1:
-        raise ValueError("compositions require monic rules")
+    u, v = S.rules[i].leading()[0], S.rules[j].leading()[0]
     if not len(u) or not len(v):
         return []  # an empty lead reduces every word: all compositions are trivial
     # leading words cancel at w = fw·b = a·gw, or at w = fw = a·gw·b
-    fg, gf = ((i, j), (s1, s2)), ((j, i), (s2, s1))
+    fg, gf = (i, j), (j, i)
     found = [(fg, find_intersections(u, v))]
     if i != j:
         found += [(gf, find_intersections(v, u)), (fg, find_inclusions(u, v)), (gf, find_inclusions(v, u))]
         if u == v:  # equal leads of distinct rules: inclusion with a = b = 1
             found.append((fg, [Overlap("inclusion", (), (), u.letters)]))
     # a self-pair has no inclusion: find_inclusions(u, u) skips the identity
-    return [Composition(source, ov, rules) for (source, rules), overlaps in found for ov in overlaps]
+    return [Composition(source, ov, S) for source, overlaps in found for ov in overlaps]
 
 
 def walk_compositions(S: RuleSet, max_degree: int | None = None):
@@ -169,11 +166,11 @@ def walk_compositions(S: RuleSet, max_degree: int | None = None):
     indices = list(S.active)
     for a, i in enumerate(indices):
         for j in indices[a:]:
-            for comp in compositions(S.rules[i], S.rules[j], i, j):
+            for comp in compositions(S, i, j):
                 if max_degree is not None and len(comp.overlap.w) > max_degree:
                     yield comp, None, 0
                     continue
-                residue, steps = reduce_with_steps(comp.value, S)
+                residue, steps = _reduce_ints(S, *comp.ints())
                 yield comp, residue, steps
 
 
@@ -209,7 +206,7 @@ class _Loop:
         stale: dict[int, None] = {}
         # idx is the newest rule, so its self-pair comes last
         for other in self.basis.active:
-            for comp in compositions(self.basis.rules[idx], self.basis.rules[other], idx, other):
+            for comp in compositions(self.basis, idx, other):
                 w = comp.overlap.w
                 self.seq += 1
                 heapq.heappush(self.heap, (((len(w), w), comp.source, self.seq), comp))
@@ -277,7 +274,7 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
         if len(comp.overlap.w) > max_degree:
             loop.skipped += 1
             continue
-        residue, steps = reduce_with_steps(comp.value, loop.basis)
+        residue, steps = _reduce_ints(loop.basis, *comp.ints())
         loop.reduction_steps += steps
         loop.certificates.append(CompositionRecord(comp, residue))
         if not residue.is_zero():

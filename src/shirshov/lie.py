@@ -95,7 +95,7 @@ def nlsw_decompose(f: NcPolynomial) -> dict[LieTerm, Scalar]:
             raise NotLieElementError(f"leading word {u} is not an ALSW")
         t = lsw_bracket(u)
         out[t] = c
-        rest = rest - expand_bracket(t).scale(c)
+        rest = rest - expand_bracket({t: c})
         if not rest.is_zero() and deglex_key(rest.leading()[0]) >= deglex_key(u):
             raise NotLieElementError("elimination did not lower the leading word")
     return out
@@ -172,12 +172,13 @@ def from_structure_constants(table: StructureTable, names) -> list[tuple[dict, N
     if len(names) != table.dimension:
         raise ValueError("need one name per table dimension")
     alphabet = Alphabet(names)
+    one = next((type(c)(1) for _, c in table.constants), 1)  # in the constants' field
     out = []
     for i in range(table.dimension):
         for j in range(i):
             xi = LieTerm.leaf(alphabet, i)
             xj = LieTerm.leaf(alphabet, j)
-            combo: dict[LieTerm, Scalar] = {LieTerm.bracket(xi, xj): 1}
+            combo: dict[LieTerm, Scalar] = {LieTerm.bracket(xi, xj): one}
             for t, c in table.bracket(i, j).items():
                 leaf = LieTerm.leaf(alphabet, t)
                 combo[leaf] = combo.get(leaf, 0) - c

@@ -174,6 +174,10 @@ class NcPolynomial:
     def _check(self, other: "NcPolynomial") -> None:
         if self.alphabet != other.alphabet:
             raise AlphabetMismatchError("polynomials over different alphabets")
+        if self.terms and other.terms:
+            c, d = self.leading()[1], other.leading()[1]
+            if type(c) is not type(d):
+                raise TypeError(f"cannot mix {type(c).__name__} with {type(d).__name__} coefficients")
 
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
         self._check(other)
@@ -278,24 +282,35 @@ class LieTerm:
 
 
 def expand_bracket(t) -> NcPolynomial:
-    """Expand a LieTerm (or a {LieTerm: scalar} combination) via [u,v] = uv - vu."""
+    """Expand a LieTerm (or a {LieTerm: scalar} combination) via [u,v] = uv - vu.
+
+    Each term expands on letter tuples with int signs and is scaled once by
+    its coefficient, so the result lies in the coefficients' field.
+    """
     if isinstance(t, LieTerm):
         t = {t: 1}
     if not t:
         raise ValueError("cannot expand an empty combination (alphabet unknown)")
     alphabet = next(iter(t)).alphabet
-    total = NcPolynomial.zero(alphabet)
+    terms: dict = {}
     for term, c in t.items():
-        total = total + _expand_one(term).scale(c)
-    return total
+        if term.alphabet != alphabet:
+            raise AlphabetMismatchError("bracket terms over different alphabets")
+        for w, n in _expand_one(term).items():
+            terms[w] = terms.get(w, 0) + n * c
+    return NcPolynomial(alphabet, {Word(alphabet, w): c for w, c in terms.items()})
 
 
-def _expand_one(t: LieTerm) -> NcPolynomial:
+def _expand_one(t: LieTerm) -> dict[tuple[int, ...], int]:
     if t.gen is not None:
-        return NcPolynomial.monomial(Word(t.alphabet, (t.gen,)))
-    le = _expand_one(t.left)
-    ri = _expand_one(t.right)
-    return le * ri - ri * le
+        return {(t.gen,): 1}
+    ri = _expand_one(t.right).items()
+    out: dict[tuple[int, ...], int] = {}
+    for u, a in _expand_one(t.left).items():
+        for v, b in ri:
+            out[u + v] = out.get(u + v, 0) + a * b
+            out[v + u] = out.get(v + u, 0) - a * b
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,7 @@ class GrowthSeries:
 def parse_presentation(text: str) -> Presentation:
     kind = None
     generators: list[str] = []
+    gen_line = None
     relation_lines: list[tuple[int, str]] = []
     in_relations = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -132,6 +133,9 @@ def parse_presentation(text: str) -> Presentation:
             in_relations = False
         elif line.startswith("generators:"):
             generators = line.split(":", 1)[1].split()
+            gen_line = lineno
+            if "1" in generators:
+                raise PresentationError("'1' is the empty word, not a generator name", lineno)
             in_relations = False
         elif line.startswith("relations:"):
             tail = line.split(":", 1)[1].strip()
@@ -147,10 +151,11 @@ def parse_presentation(text: str) -> Presentation:
     if not generators:
         raise PresentationError("missing 'generators:' header")
     base = tuple(generators)
-    if kind == "group":
-        alphabet = Alphabet(base + tuple(g + "'" for g in base))
-    else:
-        alphabet = Alphabet(base)
+    symbols = base + tuple(g + "'" for g in base) if kind == "group" else base
+    dup = next((g for i, g in enumerate(symbols) if g in symbols[:i]), None)
+    if dup is not None:
+        raise PresentationError(f"duplicate generator {dup!r}", gen_line)
+    alphabet = Alphabet(symbols)
 
     if kind == "algebra":
         rels = []

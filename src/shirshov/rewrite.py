@@ -42,6 +42,7 @@ class RuleSet:
         self._automaton_cache = None  # built on first query, dropped by add and retire
         self.alphabet: Alphabet | None = None
         self.field = None  # Fraction for Q, else the prime_field class; set by the first add
+        self.modulus = 0  # p over GF(p), 0 over Q
         for r in rules:
             self.add(r)
 
@@ -63,6 +64,7 @@ class RuleSet:
         ints, scale = _integer_form(list(rule.terms.values()), field)
         self.alphabet = rule.alphabet
         self.field = field
+        self.modulus = 0 if field is Fraction else field.modulus
         idx = len(self.rules)
         self.rules.append(rule)
         self.leads.append(lead.letters)
@@ -168,12 +170,8 @@ def _check_field(c, field) -> None:
 
 
 def _integer_form(coeffs: list, field) -> tuple[list[int], int]:
-    """(ints, scale): each coefficient is its int over the scale.
-
-    Over Q the scale is the lcm of the denominators; over GF(p) the ints are
-    the residues and the scale is 1.  A coefficient of another field raises
-    TypeError.
-    """
+    """(ints, scale): each coefficient is its int over the scale, the lcm of the
+    denominators over Q; over GF(p) the residues over 1.  Another field raises TypeError."""
     for c in coeffs:
         _check_field(c, field)
     if field is not Fraction:
@@ -182,81 +180,84 @@ def _integer_form(coeffs: list, field) -> tuple[list[int], int]:
     return [c.numerator * (scale // c.denominator) for c in coeffs], scale
 
 
+def _rewrite(S: RuleSet, terms: dict, D: int, c: int, a: tuple, b: tuple, r: int) -> int:
+    """One rewrite step: c/D·a·lead_r·b, popped from terms, becomes c/D·a·(lead_r - rule r)·b.
+
+    The pending numerators and D scale by L/gcd(c, L), L the rule's integer
+    form scale, when that is not 1.  Over GF(p) L = D = 1 and ints are mod p.
+    Returns the new D."""
+    L, us, ns = S.tails[r]
+    if L != 1:
+        g = gcd(c, L)
+        if g != L:
+            k = L // g
+            D *= k
+            for t in terms:
+                terms[t] *= k
+        c //= g
+    p = S.modulus
+    for u, n in zip(us, ns):
+        v = a + u + b
+        vkey = (len(v), v)
+        nv = terms.get(vkey, 0) - c * n
+        if p:
+            nv %= p
+        if nv:
+            terms[vkey] = nv
+        else:
+            del terms[vkey]
+    return D
+
+
+def _reduce_ints(S: RuleSet, terms: dict, D: int):
+    """(normal form, steps) of the sum of n/D·w over terms, which maps keys
+    (len(w), w) to ints and is consumed.  Its deg-lex-greatest word is popped and
+    rewritten, or leaves as a field element: a rewrite only adds lower words."""
+    max_steps = _max_steps()
+    field, p = S.field, S.modulus
+    out = {}
+    steps = 0
+    while terms:
+        key = max(terms)
+        c = terms.pop(key)
+        w = key[1]
+        m = S.leftmost_match(w)
+        if m is None:
+            out[Word(S.alphabet, w)] = field(c) if p else Fraction(c, D)
+            continue
+        pos, r = m
+        D = _rewrite(S, terms, D, c, w[:pos], w[pos + len(S.leads[r]):], r)
+        steps += 1
+        if steps > max_steps:
+            raise StepLimitExceeded(f"reduction exceeded {max_steps} steps")
+    return NcPolynomial(S.alphabet, out), steps
+
+
+def _field_poly(S: RuleSet, terms: dict, D: int) -> NcPolynomial:
+    """The sum of n/D·w over terms, in S's field."""
+    return NcPolynomial(S.alphabet, {Word(S.alphabet, w): S.field(n) if S.modulus else Fraction(n, D)
+                                     for (_, w), n in terms.items()})
+
+
 def reduce_with_steps(f: NcPolynomial, S: RuleSet):
     """Deterministic reduction; returns (normal form, step count).
 
     Strategy: rewrite the deg-lex-greatest reducible word of the support at
     ``S.leftmost_match``, the leftmost match in every completion basis; with
-    a nested lead the remainder may differ, a GS-basis verdict cannot.
-    Each word is taken once, from the top: a rewrite only adds lower words.
-
-    The words above the first reducible one keep their coefficients, and an
-    irreducible f is returned as is.  From there on coefficients are ints:
-    over GF(p) residues, over Q numerators over one running denominator D.
-    A step with numerator c against a rule of integer form scale L scales
-    the pending numerators and D by L/gcd(c, L), when that is not 1, and
-    subtracts c/gcd(c, L) times the rule's ints.  A word that leaves keeps
-    the D it left with and becomes a field element once, at the end.
+    a nested lead the remainder may differ, a GS-basis verdict cannot.  An
+    irreducible f is returned as is, any other goes to ``_reduce_ints`` in
+    integer form.
     """
-    max_steps = _max_steps()
-    alphabet = S.query_alphabet(f.alphabet)
-    field = S.field
-    if field is not None and f.terms:
-        _check_field(f.leading()[1], field)
-    items = iter(f.terms.items())
-    top = []
-    for w, c in items:
-        m = S.leftmost_match(w.letters)
-        if m is not None:
+    S.query_alphabet(f.alphabet)
+    if S.field is not None and f.terms:
+        _check_field(f.leading()[1], S.field)
+    for w in f.terms:
+        if S.leftmost_match(w.letters) is not None:
             break
-        top.append((w, c))
     else:
         return f, 0
-    rest = [(w, c), *items]
-    ints, D = _integer_form([c for _, c in rest], field)
-    terms = {deglex_key(u): n for (u, _), n in zip(rest, ints)}
-    p = 0 if field is Fraction else field.modulus
-    final = {}
-    steps = 0
-    key = deglex_key(w)
-    while True:
-        w = key[1]
-        if m is None:
-            final[w] = (terms.pop(key), D)
-        else:
-            pos, ridx = m
-            a = w[:pos]
-            b = w[pos + len(S.leads[ridx]):]
-            c = terms.pop(key)
-            L, us, ns = S.tails[ridx]
-            if L != 1:
-                g = gcd(c, L)
-                if g != L:
-                    k = L // g
-                    D *= k
-                    terms = {t: n * k for t, n in terms.items()}
-                c //= g
-            for u, n in zip(us, ns):
-                v = a + u + b
-                vkey = (len(v), v)
-                nv = terms.get(vkey, 0) - c * n
-                if p:
-                    nv %= p
-                if nv:
-                    terms[vkey] = nv
-                else:
-                    del terms[vkey]
-            steps += 1
-            if steps > max_steps:
-                raise StepLimitExceeded(f"reduction exceeded {max_steps} steps")
-        if not terms:
-            break
-        key = max(terms)
-        m = S.leftmost_match(key[1])
-    out = dict(top)
-    for w, (n, d) in final.items():
-        out[Word(alphabet, w)] = field(n) if p else Fraction(n, d)
-    return NcPolynomial(alphabet, out), steps
+    ints, D = _integer_form(list(f.terms.values()), S.field)
+    return _reduce_ints(S, {deglex_key(w): n for w, n in zip(f.terms, ints)}, D)
 
 
 def reduce(f: NcPolynomial, S: RuleSet) -> NcPolynomial:

@@ -136,7 +136,7 @@ def test_05_sl2_pbw():
         S = res.basis
         for i in range(len(S)):
             for j in range(i, len(S)):
-                for comp in compositions(S.rules[i], S.rules[j], i, j):
+                for comp in compositions(S, i, j):
                     if str(comp.w) == "hef":
                         seen_hef = True
                     assert reduce(comp.value, S).is_zero(), comp.w

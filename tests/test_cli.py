@@ -256,6 +256,29 @@ class TestUsageErrors:
         assert "'capped_degree'" in capsys.readouterr().err
 
 
+class TestRuleCap:
+    def test_capped_rules_exits_3(self, capsys, catalog_file):
+        path = catalog_file("chinese-3")
+        assert run(["complete", path, "--max-rules", "8"]) == 3
+        capsys.readouterr()
+        assert run(["complete", path, "--max-rules", "8", "--json"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "capped_rules"
+        assert doc["stats"]["compositions_processed"] == 5
+
+    def test_complete_under_the_cap_exits_0(self, capsys, catalog_file):
+        assert run(["complete", catalog_file("chinese-3"), "--max-rules", "20", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "complete"
+        assert doc["stats"]["compositions_processed"] == 16
+
+    def test_generator_named_1_is_usage_error(self, capsys, write):
+        # before, this completed as the free monoid on one generator
+        src = write("one.gs", "kind: monoid\ngenerators: 1\nrelations:\n  1 = 1\n")
+        assert run(["complete", src]) == 2
+        assert "line 2: '1' is the empty word" in capsys.readouterr().err
+
+
 class TestBadInput:
     def test_negative_rule_cap_is_usage_error(self, capsys, catalog_file):
         # a negative cap would stop completion at once with a false capped_rules

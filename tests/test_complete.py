@@ -22,14 +22,16 @@ from shirshov import (
 )
 from shirshov import complete
 from shirshov.complete import (
+    CappedCompletionError,
     EmptyInputError,
     STATUS_CAPPED_DEGREE,
+    STATUS_CAPPED_RULES,
     STATUS_COMPLETE,
     STATUS_UNIT_IDEAL,
     walk_compositions,
 )
 from shirshov.present import CATALOG_NAMES
-from shirshov.rewrite import reduce_with_steps
+from shirshov.rewrite import _reduce_ints, reduce_with_steps
 
 from oracles import nested_lead, random_ideal_element, reference_compositions
 from test_golden import CASES as GOLDEN_CASES, EXTRA_SOURCES, _source as golden_source
@@ -61,7 +63,7 @@ class TestCompositions:
     def test_sl2_intersection_value(self):
         s1 = parse_poly("h*e - e*h - 2*e", FEH)
         s2 = parse_poly("e*f - f*e - h", FEH)
-        comps = compositions(s1, s2, 0, 1)
+        comps = compositions(RuleSet([s1, s2]), 0, 1)
         assert len(comps) == 1
         c = comps[0]
         assert str(c.w) == "hef"
@@ -74,7 +76,7 @@ class TestCompositions:
     def test_inclusion_value(self):
         s1 = parse_poly("a*b*a - a", BA)
         s2 = parse_poly("a*b - b", BA)
-        comps = [c for c in compositions(s1, s2, 0, 1) if c.overlap.kind == "inclusion"]
+        comps = [c for c in compositions(RuleSet([s1, s2]), 0, 1) if c.overlap.kind == "inclusion"]
         assert len(comps) == 1
         c = comps[0]
         assert str(c.w) == "aba"
@@ -82,14 +84,15 @@ class TestCompositions:
 
     def test_no_self_overlap(self):
         s = parse_poly("y*x - x*y", Alphabet(("x", "y")))
-        assert compositions(s, s, 0, 0) == []
+        assert compositions(RuleSet([s]), 0, 0) == []
 
     def test_value_below_w(self):
         rng = random.Random(61)
         rels = sl2_relations() + [parse_poly("h*h*e - e", FEH)]
-        for i, s1 in enumerate(rels):
-            for j, s2 in enumerate(rels):
-                for c in compositions(s1, s2, i, j):
+        S = RuleSet(rels)
+        for i in range(len(rels)):
+            for j in range(len(rels)):
+                for c in compositions(S, i, j):
                     if not c.value.is_zero():
                         from shirshov import cmp_deglex
 
@@ -125,7 +128,7 @@ class TestCompositionsAgainstReference:
             else:
                 g = _random_rule(rng, AB, field)
             for s1, s2, i, j in ((f, g, 0, 1), (g, f, 3, 2), (f, f, 0, 0), (g, g, 1, 1)):
-                comps = compositions(s1, s2, i, j)
+                comps = compositions(RuleSet([f, g, f, g]), i, j)
                 got = [
                     (c.source, c.overlap.kind, c.overlap.a, c.overlap.b,
                      c.w.letters, list(c.value.terms.items()))
@@ -144,6 +147,29 @@ class TestCompositionsAgainstReference:
                         seen["equal_leads"] += 1
         assert min(seen.values()) > 50, seen
 
+    @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
+    def test_fractional_coefficients(self, field):
+        # rules of integer form scale L > 1 over Q: both rewrite steps rescale
+        # D, and the value and its reduction must still match the polynomials
+        rng = random.Random(4133)
+        AB = Alphabet(("x", "y"))
+        scaled = 0
+        for trial in range(200):
+            f, g = (
+                NcPolynomial(AB, {w: field(rng.randint(1, 5)) / field(rng.randint(1, 6))
+                                  for w in _random_rule(rng, AB, Fraction).terms}).monic()
+                for _ in range(2)
+            )
+            S = RuleSet([f, g])
+            scaled += S.tails[0][0] > 1 and S.tails[1][0] > 1
+            for i, j in ((0, 1), (1, 0), (0, 0)):
+                want = reference_compositions(S.rules[i], S.rules[j], i, j)
+                comps = compositions(S, i, j)
+                assert [c.value for c in comps] == [entry[-1] for entry in want]
+                for c in comps:
+                    assert _reduce_ints(S, *c.ints()) == reduce_with_steps(c.value, S)
+        assert scaled > 50 if field is Fraction else scaled == 0
+
     def test_no_value_over_the_cap(self, monkeypatch):
         # every w of these rules has degree >= 3; at cap 2 nothing is reduced,
         # so no composition value, and no polynomial at all, is built; overlaps
@@ -155,7 +181,7 @@ class TestCompositionsAgainstReference:
         for trial in range(100):
             f = _random_rule(rng, XYZ, Fraction)
             lead = f.leading()[0].letters if trial % 3 == 0 else None
-            pairs.append((f, _random_rule(rng, XYZ, Fraction, lead=lead)))
+            pairs.append(RuleSet([f, _random_rule(rng, XYZ, Fraction, lead=lead)]))
         built = []
         for cls in (NcPolynomial, Word):
             init = cls.__init__
@@ -167,9 +193,9 @@ class TestCompositionsAgainstReference:
             monkeypatch.setattr(cls, "__init__", counting_init)
         comps = [
             c
-            for f, g in pairs
-            for s1, s2, i, j in ((f, g, 0, 1), (f, f, 0, 0))
-            for c in compositions(s1, s2, i, j)
+            for T in pairs
+            for i, j in ((0, 1), (0, 0))
+            for c in compositions(T, i, j)
         ]
         assert {c.overlap.kind for c in comps} == {"intersection", "inclusion"}
         assert built == []
@@ -180,6 +206,24 @@ class TestCompositionsAgainstReference:
         assert built == []
         assert walked[0][0].value is not None
         assert set(built) == {"NcPolynomial", "Word"}
+
+
+class TestRuleCap:
+    """The drain stops once the active rules outnumber max_rules."""
+
+    def test_chinese_3_capped_at_8_rules(self):
+        res = complete_presentation(catalog("chinese-3"), CompletionConfig(max_rules=8))
+        assert res.status == STATUS_CAPPED_RULES
+        assert res.stats["compositions_processed"] == 5
+        assert len(res.basis) == 9  # the rule that crossed the cap is kept
+        with pytest.raises(CappedCompletionError, match="capped_rules"):
+            res.certified_basis()
+
+    def test_chinese_3_completes_under_20_rules(self):
+        res = complete_presentation(catalog("chinese-3"), CompletionConfig(max_rules=20))
+        assert res.status == STATUS_COMPLETE
+        assert res.stats["compositions_processed"] == 16
+        assert res.certified_basis() is res.basis
 
 
 class TestShirshovComplete:

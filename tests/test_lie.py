@@ -18,6 +18,7 @@ from shirshov import (
     nlsw_decompose,
     parse_poly,
     pbw_basis,
+    prime_field,
     shirshov_complete,
     shirshov_factorize,
 )
@@ -199,6 +200,21 @@ class TestStructureConstants:
             "h*e - e*h - 2*e",
             "h*f - f*h + 2*f",
         }
+
+    def test_sl2_over_a_prime_field(self):
+        # the GF(7) table expands to the Q expansion mod 7, in GF(7) alone,
+        # and the Lie GS check runs on it
+        GF7 = prime_field(7)
+        q = sl2_table()
+        gf = StructureTable(q.dimension, tuple((k, GF7(c.numerator)) for k, c in q.constants))
+        names = ("f", "e", "h")
+        over_q = [f for _, f in from_structure_constants(q, names)]
+        over_gf = [f for _, f in from_structure_constants(gf, names)]
+        assert [f.terms for f in over_gf] == [
+            {w: GF7(c.numerator) for w, c in f.terms.items()} for f in over_q
+        ]
+        assert {type(c) for f in over_gf for c in f.terms.values()} == {GF7}
+        assert lie_gs_check(over_gf) == (True, [])
 
     def test_dimension_one(self):
         assert from_structure_constants(StructureTable.from_dict(1, {}), ("x",)) == []

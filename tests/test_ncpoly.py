@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -161,6 +162,16 @@ class TestExpandBracket:
         assert out == P("2*x*y - 2*y*x - x", AB)
 
 
+    def test_over_a_prime_field(self):
+        GF7 = prime_field(7)
+        e, f, h = (LieTerm.leaf(FEH, i) for i in range(3))
+        t = LieTerm.bracket(LieTerm.bracket(h, e), f)
+        got = expand_bracket({t: GF7(2), e: GF7(3)})
+        want = {w: GF7(2) * c.numerator for w, c in expand_bracket(t).terms.items()}
+        assert got.terms == {**want, FEH.word("e"): GF7(3)}
+        assert all(type(c) is GF7 for c in got.terms.values())
+
+
 class TestTextSyntax:
     def test_round_trip_random(self):
         rng = random.Random(31)
@@ -223,6 +234,18 @@ class TestPrimeField:
         g = f.monic()
         assert g.leading()[1] == F5(1)
         assert (f + f + f + f + f).is_zero()
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["+", "-", "*"])
+    def test_polynomials_over_different_fields_do_not_mix(self, op):
+        GF5, GF7 = prime_field(5), prime_field(7)
+        x = AB.word("x")
+        gf7 = NcPolynomial.monomial(x, GF7(3))
+        for other in (NcPolynomial.one(AB), NcPolynomial.monomial(x, GF5(2))):
+            for a, b in ((gf7, other), (other, gf7)):
+                with pytest.raises(TypeError, match="cannot mix"):
+                    op(a, b)
+        # the zero polynomial lies in every field
+        assert op(gf7, NcPolynomial.zero(AB)) == (gf7 if op is not operator.mul else NcPolynomial.zero(AB))
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):

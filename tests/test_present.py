@@ -74,6 +74,20 @@ class TestParsePresentation:
         assert p.relations == parse_presentation(BICYCLIC_SRC).relations
         assert p.relations[0][0] == p.alphabet.word("p q")
 
+    @pytest.mark.parametrize("kind", ["monoid", "algebra", "group", "lie"])
+    def test_rejects_a_generator_named_1(self, kind):
+        # "1" is the empty word in word relations and a number in polynomials
+        with pytest.raises(PresentationError, match="^line 2: '1' is the empty word"):
+            parse_presentation(f"kind: {kind}\ngenerators: x 1\nrelations:\n  1 = 1\n")
+
+    @pytest.mark.parametrize(
+        "kind, gens, dup", [("monoid", "x y x", "x"), ("group", "x y x'", "x'")], ids=["repeat", "inverse"]
+    )
+    def test_duplicate_generator(self, kind, gens, dup):
+        src = f"kind: {kind}\n# generators\ngenerators: {gens}\nrelations:\n  x = y\n"
+        with pytest.raises(PresentationError, match=f"^line 3: duplicate generator {dup!r}$"):
+            parse_presentation(src)
+
     def test_unknown_kind(self):
         with pytest.raises(PresentationError):
             parse_presentation("kind: ring\ngenerators: x\nrelations:\n")

@@ -388,6 +388,13 @@ class TestFieldGuard:
             with pytest.raises(TypeError, match="cannot mix"):
                 reduce(parse_poly(text, AB, field=poly), S)
 
+    def test_reduce_checks_the_words_above_the_first_reducible_one(self):
+        # x*x*x and x*x are irreducible; only y reduces, and the GF(7)
+        # coefficient above it must not pass through into a Q result
+        f = NcPolynomial(AB, {AB.word("x x x"): 1, AB.word("x x"): GF7(3), AB.word("y"): 1})
+        with pytest.raises(TypeError, match="cannot mix"):
+            reduce(f, RuleSet([parse_poly("y - x", AB)]))
+
     def test_rejects_a_coefficient_of_no_field(self):
         y = AB.word("y")
         with pytest.raises(TypeError, match="neither a Fraction nor a prime_field"):
