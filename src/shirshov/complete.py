@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .ncpoly import NcPolynomial, coefficient_field, render_poly
 from .rewrite import RuleSet, _field_poly, _reduce_ints, _rewrite, reduce_with_steps
-from .words import Overlap, Word, deglex_key, find_inclusions, find_intersections
+from .words import Overlap, Word, _inclusions, _intersections
 
 STATUS_COMPLETE = "complete"
 STATUS_CAPPED_DEGREE = "capped_degree"
@@ -107,16 +107,16 @@ class CompletionResult:
         return next((f for f in self.basis if not _is_binomial_shape(f)), None)
 
     def to_json_dict(self) -> dict:
-        order = sorted(range(len(self.basis)), key=lambda i: deglex_key(self.basis.rules[i].leading()[0]))
+        order = sorted(enumerate(self.basis.leads), key=lambda e: (len(e[1]), e[1]))
         return {
             "format": 1,
             "status": self.status,
             "basis": [
                 {
-                    "lead": str(self.basis.rules[i].leading()[0]),
+                    "lead": str(Word(self.basis.alphabet, lead)),
                     "poly": render_poly(self.basis.rules[i]),
                 }
-                for i in order
+                for i, lead in order
             ],
             "certificates": [
                 {
@@ -142,17 +142,17 @@ def compositions(S: RuleSet, i: int, j: int) -> list[Composition]:
     distinct overlaps appear.  Trivial lcm's (u·c·v) are never generated:
     over a field their compositions are trivial.
     """
-    u, v = S.rules[i].leading()[0], S.rules[j].leading()[0]
-    if not len(u) or not len(v):
+    u, v = S.leads[i], S.leads[j]
+    if not u or not v:
         return []  # an empty lead reduces every word: all compositions are trivial
     # leading words cancel at w = fw·b = a·gw, or at w = fw = a·gw·b
     fg, gf = (i, j), (j, i)
-    found = [(fg, find_intersections(u, v))]
+    found = [(fg, _intersections(u, v))]
     if i != j:
-        found += [(gf, find_intersections(v, u)), (fg, find_inclusions(u, v)), (gf, find_inclusions(v, u))]
+        found += [(gf, _intersections(v, u)), (fg, _inclusions(u, v)), (gf, _inclusions(v, u))]
         if u == v:  # equal leads of distinct rules: inclusion with a = b = 1
-            found.append((fg, [Overlap("inclusion", (), (), u.letters)]))
-    # a self-pair has no inclusion: find_inclusions(u, u) skips the identity
+            found.append((fg, [Overlap("inclusion", (), (), u)]))
+    # a self-pair has no inclusion: _inclusions(u, u) skips the identity
     return [Composition(source, ov, S) for source, overlaps in found for ov in overlaps]
 
 

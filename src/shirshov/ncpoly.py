@@ -316,7 +316,9 @@ def _expand_one(t: LieTerm) -> dict[tuple[int, ...], int]:
 # ---------------------------------------------------------------------------
 # Text syntax: terms joined by +/-, optional scalar prefix with *
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*'*)|(?P<op>[-+*]))")
+# a generator name as relations spell it; presentations check their generators by it
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*'*")
+_TOKEN = re.compile(rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{NAME.pattern})|(?P<op>[-+*]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:

@@ -27,7 +27,7 @@ from .complete import (
     shirshov_complete,
 )
 from .lie import StructureTable, from_structure_constants
-from .ncpoly import NcPolynomial, PolyParseError, parse_poly
+from .ncpoly import NAME, NcPolynomial, PolyParseError, parse_poly
 from .rewrite import RuleSet, irr_counts, rewrite_word
 from .words import Alphabet, Word
 
@@ -127,11 +127,15 @@ def parse_presentation(text: str) -> Presentation:
         if not line:
             continue
         if line.startswith("kind:"):
+            if kind is not None:
+                raise PresentationError("duplicate 'kind:' header", lineno)
             kind = line.split(":", 1)[1].strip()
             if kind not in KINDS:
                 raise PresentationError(f"unknown kind {kind!r}", lineno)
             in_relations = False
         elif line.startswith("generators:"):
+            if gen_line is not None:
+                raise PresentationError("duplicate 'generators:' header", lineno)
             generators = line.split(":", 1)[1].split()
             gen_line = lineno
             if "1" in generators:
@@ -150,6 +154,12 @@ def parse_presentation(text: str) -> Presentation:
         raise PresentationError("missing 'kind:' header")
     if not generators:
         raise PresentationError("missing 'generators:' header")
+    for g in generators:
+        # polynomials spell a generator as one NAME token, words split at '='
+        if kind in ("algebra", "lie") and not NAME.fullmatch(g):
+            raise PresentationError(f"generator {g!r} is not a name like x, x_2 or x'", gen_line)
+        if "=" in g:
+            raise PresentationError(f"generator {g!r} contains '='", gen_line)
     base = tuple(generators)
     symbols = base + tuple(g + "'" for g in base) if kind == "group" else base
     dup = next((g for i, g in enumerate(symbols) if g in symbols[:i]), None)

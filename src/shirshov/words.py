@@ -147,12 +147,8 @@ class Overlap:
     w: tuple[int, ...]
 
 
-def find_intersections(u: Word, v: Word) -> list[Overlap]:
-    """All proper suffix-of-u / prefix-of-v overlaps, by |b| ascending."""
-    _check_same(u, v)
-    u, v = u.letters, v.letters
-    if not u or not v:
-        raise ValueError("overlap detection needs nonempty words")
+def _intersections(u: tuple[int, ...], v: tuple[int, ...]) -> list[Overlap]:
+    """All proper suffix-of-u / prefix-of-v overlaps of nonempty u, v, by |b| ascending."""
     out = []
     # k = overlap length; larger k means shorter b
     for k in range(min(len(u), len(v)) - 1, 0, -1):
@@ -162,16 +158,8 @@ def find_intersections(u: Word, v: Word) -> list[Overlap]:
     return out
 
 
-def find_inclusions(u: Word, v: Word) -> list[Overlap]:
-    """All factorizations u = a·v·b, by |a| ascending.
-
-    When u == v the identity occurrence is excluded; equal leading words of
-    distinct rules are handled by the caller.
-    """
-    _check_same(u, v)
-    u, v = u.letters, v.letters
-    if not u or not v:
-        raise ValueError("overlap detection needs nonempty words")
+def _inclusions(u: tuple[int, ...], v: tuple[int, ...]) -> list[Overlap]:
+    """All factorizations u = a·v·b of nonempty u, v with a·b nonempty, by |a| ascending."""
     out = []
     for start in range(len(u) - len(v) + 1):
         if u[start : start + len(v)] == v:
@@ -180,3 +168,20 @@ def find_inclusions(u: Word, v: Word) -> list[Overlap]:
             if a or b:
                 out.append(Overlap("inclusion", a, b, u))
     return out
+
+
+def _letters(u: Word, v: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    _check_same(u, v)
+    if not u.letters or not v.letters:
+        raise ValueError("overlap detection needs nonempty words")
+    return u.letters, v.letters
+
+
+def find_intersections(u: Word, v: Word) -> list[Overlap]:
+    """``_intersections`` of two nonempty words over one alphabet."""
+    return _intersections(*_letters(u, v))
+
+
+def find_inclusions(u: Word, v: Word) -> list[Overlap]:
+    """``_inclusions`` of two nonempty words over one alphabet."""
+    return _inclusions(*_letters(u, v))

@@ -336,6 +336,29 @@ class TestBadInput:
         assert "GS_MAX_STEPS" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("kind: algebra\ngenerators: x 2\nrelations:\n  x*x - 2\n", "line 2: generator '2' is not a name"),
+            ("kind: monoid\ngenerators: a =\nrelations:\n  a = a a\n", "line 2: generator '=' contains '='"),
+            (
+                "kind: algebra\nkind: monoid\ngenerators: x\nrelations:\n  x*x\n",
+                "line 2: duplicate 'kind:' header",
+            ),
+            (
+                "kind: monoid\ngenerators: a b\ngenerators: x y\nrelations:\n  x y = y x\n",
+                "line 3: duplicate 'generators:' header",
+            ),
+        ],
+        ids=["number-generator", "equals-generator", "kind-twice", "generators-twice"],
+    )
+    def test_unspellable_generator_or_repeated_header_is_usage_error(self, capsys, write, src, message):
+        # each would otherwise complete, over a basis the file did not mean
+        assert run(["complete", write("bad.gs", src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestRuntimeFailures:
     def test_step_cap_is_a_cap(self, capsys, monkeypatch, catalog_file):

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from shirshov import (
     reduce,
     shirshov_complete,
 )
-from shirshov import complete
+from shirshov import complete, words
 from shirshov.complete import (
     CappedCompletionError,
     EmptyInputError,
@@ -120,7 +121,11 @@ class TestCompositionsAgainstReference:
     def test_same_sequence_and_values(self, field):
         rng = random.Random(4127)
         AB = Alphabet(("x", "y"))
-        seen = {"intersection": 0, "inclusion": 0, "self": 0, "equal_leads": 0}
+        # inclusions of either orientation: the first rule's lead holds the
+        # second's (i_holds_j), or the reverse; equal_length: compositions of
+        # distinct leads of equal length
+        seen = {"intersection": 0, "inclusion": 0, "self": 0, "equal_leads": 0,
+                "i_holds_j": 0, "j_holds_i": 0, "equal_length": 0}
         for trial in range(300):
             f = _random_rule(rng, AB, field)
             if trial % 3 == 0:
@@ -139,12 +144,17 @@ class TestCompositionsAgainstReference:
                     for source, kind, a, b, w, value in reference_compositions(s1, s2, i, j)
                 ]
                 assert got == want
+                u, v = s1.leading()[0].letters, s2.leading()[0].letters
                 for entry in got:
                     seen[entry[1]] += 1
                     if i == j:
                         seen["self"] += 1
                     elif entry[2] == entry[3] == ():
                         seen["equal_leads"] += 1
+                    elif entry[1] == "inclusion":
+                        seen["i_holds_j" if entry[0] == (i, j) else "j_holds_i"] += 1
+                    if u != v and len(u) == len(v):
+                        seen["equal_length"] += 1
         assert min(seen.values()) > 50, seen
 
     @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
@@ -206,6 +216,46 @@ class TestCompositionsAgainstReference:
         assert built == []
         assert walked[0][0].value is not None
         assert set(built) == {"NcPolynomial", "Word"}
+
+    def test_leads_come_from_the_rule_set(self, monkeypatch):
+        # compositions scan RuleSet.leads as letter tuples: no lead is read
+        # back from a polynomial, and the Word-level find_* adapters never run
+        S = RuleSet(non_jacobi_relations() + [parse_poly("z*z*y - x", XYZ)])
+        rng = random.Random(4131)
+        pairs = []
+        for trial in range(100):
+            f = _random_rule(rng, XYZ, Fraction)
+            lead = f.leading()[0].letters if trial % 3 == 0 else None
+            pairs.append(RuleSet([f, _random_rule(rng, XYZ, Fraction, lead=lead)]))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lead read outside RuleSet.leads")
+
+        monkeypatch.setattr(NcPolynomial, "leading", forbidden)
+        for original in (words.find_intersections, words.find_inclusions):
+            for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "shirshov"]:
+                for name, obj in list(vars(module).items()):
+                    if obj is original:
+                        monkeypatch.setattr(module, name, forbidden)
+        comps = [c for T in pairs for i, j in ((0, 1), (1, 0), (0, 0)) for c in compositions(T, i, j)]
+        assert {c.overlap.kind for c in comps} == {"intersection", "inclusion"}
+        assert any(c.overlap.a == c.overlap.b == () for c in comps)  # equal leads
+        walked = list(walk_compositions(S, 2))
+        assert {comp.overlap.kind for comp, _, _ in walked} == {"intersection", "inclusion"}
+
+    def test_word_adapters_check_then_scan(self):
+        # find_* check the alphabet and emptiness of Word arguments, then
+        # return exactly what compositions' tuple scanners return
+        w = XYZ.word
+        for f, g in ((w("x y x"), w("x")), (w("x"), w("x y x")), (w("x y"), w("y x"))):
+            assert words.find_intersections(f, g) == words._intersections(f.letters, g.letters)
+            assert words.find_inclusions(f, g) == words._inclusions(f.letters, g.letters)
+        for find in (words.find_intersections, words.find_inclusions):
+            with pytest.raises(words.AlphabetMismatchError):
+                find(w("x y"), BA.word("a b"))
+            for f, g in ((w("x"), XYZ.empty()), (XYZ.empty(), w("x"))):
+                with pytest.raises(ValueError, match="nonempty words"):
+                    find(f, g)
 
 
 class TestRuleCap:

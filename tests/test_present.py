@@ -88,6 +88,43 @@ class TestParsePresentation:
         with pytest.raises(PresentationError, match=f"^line 3: duplicate generator {dup!r}$"):
             parse_presentation(src)
 
+    @pytest.mark.parametrize(
+        "kind, gens, rel, bad",
+        [
+            ("algebra", "x 2", "x*x - 2", "2"),  # would read as the constant 2
+            ("algebra", "x y-z", "x*x", "y-z"),  # would tokenize as y - z
+            ("lie", "x y.z", "bracket y.z x = 0", "y.z"),
+        ],
+        ids=["number", "minus", "dot"],
+    )
+    def test_polynomial_kinds_need_a_name(self, kind, gens, rel, bad):
+        src = f"kind: {kind}\ngenerators: {gens}\nrelations:\n  {rel}\n"
+        with pytest.raises(PresentationError, match=f"^line 2: generator {bad!r} is not a name"):
+            parse_presentation(src)
+
+    @pytest.mark.parametrize("kind", ["monoid", "group"])
+    @pytest.mark.parametrize("bad", ["=", "a=b"])
+    def test_word_kinds_reject_equals(self, kind, bad):
+        # '=' splits a word relation, so such a generator could never be spelled
+        src = f"kind: {kind}\ngenerators: a {bad}\nrelations:\n  a = a a\n"
+        with pytest.raises(PresentationError, match=f"^line 2: generator {bad!r} contains '='$"):
+            parse_presentation(src)
+
+    def test_names_relations_can_spell(self):
+        # NAME is the one definition of a name: parse_poly reads every one
+        gens = "x X_1 _y z' w2''"
+        p = parse_presentation(f"kind: algebra\ngenerators: {gens}\nrelations:\n  x*X_1 - _y*z' + w2''\n")
+        assert {w.names() for w in p.relations[0].terms} == {("x", "X_1"), ("_y", "z'"), ("w2''",)}
+        q = parse_presentation("kind: monoid\ngenerators: a+ 2 x.y\nrelations:\n  a+ 2 = x.y\n")
+        assert q.alphabet.symbols == ("a+", "2", "x.y")
+
+    @pytest.mark.parametrize("header, second", [("kind", "algebra"), ("generators", "x y")])
+    def test_duplicate_header(self, header, second):
+        # a second header would otherwise replace the first without a word
+        src = f"kind: monoid\ngenerators: a b\n{header}: {second}\nrelations:\n  a b = b a\n"
+        with pytest.raises(PresentationError, match=f"^line 3: duplicate '{header}:' header$"):
+            parse_presentation(src)
+
     def test_unknown_kind(self):
         with pytest.raises(PresentationError):
             parse_presentation("kind: ring\ngenerators: x\nrelations:\n")
