@@ -9,8 +9,6 @@ from .words import (
     Alphabet,
     Overlap,
     Word,
-    cmp_deglex,
-    cmp_lex_prefix_greater,
     find_inclusions,
     find_intersections,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "Alphabet",
     "Word",
     "Overlap",
-    "cmp_deglex",
-    "cmp_lex_prefix_greater",
     "find_intersections",
     "find_inclusions",
     "NcPolynomial",

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .ncpoly import NcPolynomial, coefficient_field, render_poly
 from .rewrite import RuleSet, _field_poly, _reduce_ints, _rewrite, reduce_with_steps
-from .words import Overlap, Word, _inclusions, _intersections
+from .words import Overlap, Word, _inclusions, _intersections, _trusted_word
 
 STATUS_COMPLETE = "complete"
 STATUS_CAPPED_DEGREE = "capped_degree"
@@ -51,7 +51,7 @@ class Composition:
 
     @property
     def w(self) -> Word:
-        return Word(self.basis.alphabet, self.overlap.w)
+        return _trusted_word(self.basis.alphabet, self.overlap.w)
 
     def ints(self) -> tuple[dict, int]:
         """(terms, D): the value as numerators over D, as ``_reduce_ints`` takes it."""
@@ -113,7 +113,7 @@ class CompletionResult:
             "status": self.status,
             "basis": [
                 {
-                    "lead": str(Word(self.basis.alphabet, lead)),
+                    "lead": str(_trusted_word(self.basis.alphabet, lead)),
                     "poly": render_poly(self.basis.rules[i]),
                 }
                 for i, lead in order

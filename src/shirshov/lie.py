@@ -20,7 +20,7 @@ from .ncpoly import (
     expand_bracket,
 )
 from .rewrite import RuleSet, _irr_levels
-from .words import Alphabet, Word, deglex_key
+from .words import Alphabet, Word, _trusted_word, deglex_key
 
 
 class NotAlswError(ValueError):
@@ -49,8 +49,8 @@ def shirshov_factorize(u: Word) -> list[Word]:
     """The unique non-decreasing factorization of u into ALSWs.
 
     Duval's algorithm with the letter order flipped, so that the factors are
-    rotation-maximal words; the factor sequence is non-decreasing under
-    cmp_lex_prefix_greater and concatenates back to u.
+    rotation-maximal words; the factor sequence is non-decreasing in the lex
+    order in which a proper prefix is greater, and concatenates back to u.
     """
     if len(u) == 0:
         raise ValueError("cannot factorize the empty word")
@@ -226,7 +226,7 @@ def pbw_basis(S, d: int, alphabet: Alphabet | None = None) -> list[PbwMonomial]:
     # greater; in this order the non-decreasing factor sequences are the
     # index-ordered runs
     atoms = sorted((t for level in levels for t in level if _is_alsw(t)), key=lambda t: t + (k,))
-    words = [Word(alphabet, t) for t in atoms]
+    words = [_trusted_word(alphabet, t) for t in atoms]
     by_len: dict[int, list[int]] = {}
     for i, t in enumerate(atoms):
         by_len.setdefault(len(t), []).append(i)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from numbers import Rational
 from typing import Mapping, Union
 
-from .words import Alphabet, AlphabetMismatchError, Word, deglex_key
+from .words import Alphabet, AlphabetMismatchError, Word, _trusted_word, deglex_key
 
 
 class ZeroPolynomialError(ValueError):
@@ -298,7 +298,7 @@ def expand_bracket(t) -> NcPolynomial:
             raise AlphabetMismatchError("bracket terms over different alphabets")
         for w, n in _expand_one(term).items():
             terms[w] = terms.get(w, 0) + n * c
-    return NcPolynomial(alphabet, {Word(alphabet, w): c for w, c in terms.items()})
+    return NcPolynomial(alphabet, {_trusted_word(alphabet, w): c for w, c in terms.items()})
 
 
 def _expand_one(t: LieTerm) -> dict[tuple[int, ...], int]:

@@ -29,7 +29,7 @@ from .complete import (
 from .lie import StructureTable, from_structure_constants
 from .ncpoly import NAME, NcPolynomial, PolyParseError, parse_poly
 from .rewrite import RuleSet, irr_counts, rewrite_word
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _trusted_word
 
 KINDS = ("algebra", "monoid", "group", "lie")
 
@@ -274,7 +274,7 @@ def normal_form_word(u: Word, R: CompletionResult):
         raise NonBinomialBasisError(f"rule {R.non_binomial_rule} is not binomial or monomial")
     basis.query_alphabet(u.alphabet)
     letters = rewrite_word(u.letters, basis)
-    return ZERO if letters is None else Word(u.alphabet, letters)
+    return ZERO if letters is None else _trusted_word(u.alphabet, letters)
 
 
 def word_problem(u: Word, v: Word, R: CompletionResult) -> bool:

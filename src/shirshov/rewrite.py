@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .ncpoly import NcPolynomial, coefficient_field
-from .words import Alphabet, AlphabetMismatchError, Word, deglex_key
+from .words import Alphabet, AlphabetMismatchError, Word, _trusted_word, deglex_key
 
 DEFAULT_MAX_STEPS = 10**7
 
@@ -223,7 +223,7 @@ def _reduce_ints(S: RuleSet, terms: dict, D: int):
         w = key[1]
         m = S.leftmost_match(w)
         if m is None:
-            out[Word(S.alphabet, w)] = field(c) if p else Fraction(c, D)
+            out[_trusted_word(S.alphabet, w)] = field(c) if p else Fraction(c, D)
             continue
         pos, r = m
         D = _rewrite(S, terms, D, c, w[:pos], w[pos + len(S.leads[r]):], r)
@@ -235,7 +235,7 @@ def _reduce_ints(S: RuleSet, terms: dict, D: int):
 
 def _field_poly(S: RuleSet, terms: dict, D: int) -> NcPolynomial:
     """The sum of n/D·w over terms, in S's field."""
-    return NcPolynomial(S.alphabet, {Word(S.alphabet, w): S.field(n) if S.modulus else Fraction(n, D)
+    return NcPolynomial(S.alphabet, {_trusted_word(S.alphabet, w): S.field(n) if S.modulus else Fraction(n, D)
                                      for (_, w), n in terms.items()})
 
 
@@ -334,7 +334,7 @@ def irr_words(S: RuleSet, d: int, alphabet: Alphabet | None = None) -> list[Word
     if d < 0:
         raise ValueError("degree bound must be >= 0")
     alphabet = S.query_alphabet(alphabet)
-    return [Word(alphabet, w) for level in _irr_levels(S, d, len(alphabet)) for w in level]
+    return [_trusted_word(alphabet, w) for level in _irr_levels(S, d, len(alphabet)) for w in level]
 
 
 def irr_counts(S: RuleSet, d: int, alphabet: Alphabet | None = None) -> list[int]:

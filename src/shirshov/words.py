@@ -9,10 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-LESS = -1
-EQUAL = 0
-GREATER = 1
-
 
 class AlphabetMismatchError(ValueError):
     """Two words over different alphabets were combined or compared."""
@@ -60,17 +56,32 @@ class Alphabet:
         return Word(self, ())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
-    """A monomial of the free monoid: a finite sequence of generator indices."""
+    """A monomial of the free monoid: a finite sequence of generator indices.
+
+    ``Word(alphabet, letters)`` stores the letters as a tuple and checks that
+    each is an int index into the alphabet.  Words the engine builds from
+    letters it made over the alphabet go through ``_trusted_word`` instead.
+    Equal words have equal letters, so a word hashes by its letters alone.
+    """
 
     alphabet: Alphabet
     letters: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.alphabet)
-        if any(not 0 <= i < n for i in self.letters):
-            raise ValueError("letter index out of range for alphabet")
+    def __init__(self, alphabet: Alphabet, letters: Iterable[int]):
+        letters = tuple(letters)
+        n = len(alphabet)
+        for i in letters:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise TypeError(f"letter {i!r} is not an int index")
+            if not 0 <= i < n:
+                raise ValueError("letter index out of range for alphabet")
+        _set_alphabet(self, alphabet)
+        _set_letters(self, letters)
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
 
     @property
     def degree(self) -> int:
@@ -82,12 +93,12 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise AlphabetMismatchError("cannot concatenate over different alphabets")
-        return Word(self.alphabet, self.letters + other.letters)
+        return _trusted_word(self.alphabet, self.letters + other.letters)
 
     def __getitem__(self, i) -> "Word":
         if isinstance(i, slice):
-            return Word(self.alphabet, self.letters[i])
-        return Word(self.alphabet, (self.letters[i],))
+            return _trusted_word(self.alphabet, self.letters[i])
+        return _trusted_word(self.alphabet, (self.letters[i],))
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.alphabet.symbols[i] for i in self.letters)
@@ -104,6 +115,20 @@ class Word:
         return f"Word({self})"
 
 
+# the slot setters, which a frozen Word's __setattr__ does not reach
+_set_alphabet = Word.alphabet.__set__
+_set_letters = Word.letters.__set__
+
+
+def _trusted_word(alphabet: Alphabet, letters: tuple[int, ...]) -> Word:
+    """A Word with no letter check, for a letter tuple the engine made over alphabet:
+    automaton moves over its letters, or slices and concatenations of checked words."""
+    w = object.__new__(Word)
+    _set_alphabet(w, alphabet)
+    _set_letters(w, letters)
+    return w
+
+
 def deglex_key(u: Word) -> tuple[int, tuple[int, ...]]:
     """Sort key realizing the deg-lex order (degree first, then precedence-lex)."""
     return (len(u.letters), u.letters)
@@ -112,25 +137,6 @@ def deglex_key(u: Word) -> tuple[int, tuple[int, ...]]:
 def _check_same(u: Word, v: Word) -> None:
     if u.alphabet != v.alphabet:
         raise AlphabetMismatchError("words over different alphabets")
-
-
-def cmp_deglex(u: Word, v: Word) -> int:
-    """Compare by degree, then left-to-right by generator precedence."""
-    _check_same(u, v)
-    ku, kv = deglex_key(u), deglex_key(v)
-    return LESS if ku < kv else GREATER if ku > kv else EQUAL
-
-
-def cmp_lex_prefix_greater(u: Word, v: Word) -> int:
-    """Pure lex order in which a proper prefix is GREATER than its extensions."""
-    _check_same(u, v)
-    for a, b in zip(u.letters, v.letters):
-        if a != b:
-            return LESS if a < b else GREATER
-    if len(u) == len(v):
-        return EQUAL
-    # the shorter word is a proper prefix and compares greater
-    return GREATER if len(u) < len(v) else LESS
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,35 @@ import itertools
 from fractions import Fraction
 from functools import cmp_to_key
 
-from shirshov import Alphabet, NcPolynomial, Word, cmp_lex_prefix_greater, is_alsw, mul_bounded
+from shirshov import Alphabet, NcPolynomial, Word, is_alsw, mul_bounded
 from shirshov.complete import CompletionResult
 from shirshov.lie import PbwMonomial
 from shirshov.rewrite import RuleSet, irr_words
-from shirshov.words import deglex_key
+from shirshov.words import AlphabetMismatchError, deglex_key
+
+
+def _same_alphabet(u: Word, v: Word) -> None:
+    if u.alphabet != v.alphabet:
+        raise AlphabetMismatchError("words over different alphabets")
+
+
+def cmp_deglex(u: Word, v: Word) -> int:
+    """-1, 0 or 1: compare by degree, then left-to-right by generator precedence."""
+    _same_alphabet(u, v)
+    ku, kv = (len(u), u.letters), (len(v), v.letters)
+    return -1 if ku < kv else 1 if ku > kv else 0
+
+
+def cmp_lex_prefix_greater(u: Word, v: Word) -> int:
+    """-1, 0 or 1 in the pure lex order in which a proper prefix is greater
+    than its extensions, the order of non-decreasing ALSW factorizations."""
+    _same_alphabet(u, v)
+    for a, b in zip(u.letters, v.letters):
+        if a != b:
+            return -1 if a < b else 1
+    if len(u) == len(v):
+        return 0
+    return 1 if len(u) < len(v) else -1
 
 
 def brute_intersections(u: Word, v: Word):

@@ -343,7 +343,7 @@ class TestPbwBasis:
             pbw_basis(res, 3)
 
     def test_factor_sequences_monotone(self):
-        from shirshov import cmp_lex_prefix_greater
+        from oracles import cmp_lex_prefix_greater
 
         out = pbw_basis(None, 6, BA)
         for m in out:

@@ -7,15 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shirshov import (
+    ZERO,
     Alphabet,
     NcPolynomial,
     RuleSet,
     Word,
     catalog,
     complete_presentation,
+    compositions,
+    expand_bracket,
     irr_words,
+    lsw_bracket,
+    normal_form_word,
     parse_poly,
     parse_presentation,
+    pbw_basis,
     prime_field,
     reduce,
     shirshov_complete,
@@ -514,3 +520,79 @@ def _random_poly(rng, alphabet, max_deg=4, field=Fraction):
         word = Word(alphabet, tuple(rng.randrange(len(alphabet)) for _ in range(n)))
         terms[word] = field(rng.randint(-4, 4))
     return NcPolynomial(alphabet, terms)
+
+
+def assert_checked_twins(words, alphabet):
+    """Each word equals, and hashes as, the checked Word of its letters."""
+    for u in words:
+        twin = Word(alphabet, u.letters)
+        assert type(u) is Word and type(u.letters) is tuple and u.alphabet == alphabet
+        assert u == twin and hash(u) == hash(twin) and str(u) == str(twin)
+
+
+def assert_checked_poly(f: NcPolynomial):
+    assert_checked_twins(f.terms, f.alphabet)
+    rebuilt = NcPolynomial(f.alphabet, {Word(f.alphabet, u.letters): c for u, c in f.terms.items()})
+    assert rebuilt == f and list(rebuilt.terms) == list(f.terms)
+    assert all(rebuilt.terms[u] == c for u, c in f.terms.items())
+
+
+def brute_irr(S, alphabet, d):
+    return [u for n in range(d + 1) for u in all_words(alphabet, n) if brute_match(u.letters, S) is None]
+
+
+def _three_term_relation(rng, alphabet, field):
+    words = set()
+    while len(words) < 3:
+        words.add(tuple(rng.randrange(len(alphabet)) for _ in range(rng.randint(1, 3))))
+    return NcPolynomial(alphabet, {Word(alphabet, u): field(rng.choice([-3, -2, -1, 1, 2, 5]))
+                                   for u in words})
+
+
+class TestTrustedWordsAgainstChecked:
+    """Words the engine builds from its own letters skip the letter check; they
+    must be the words the checked constructor builds from the same letters."""
+
+    @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
+    def test_seeded_algebra_bases(self, field):
+        rng = random.Random(7919)
+        for _ in range(8):
+            rels = [_three_term_relation(rng, XYZ, field) for _ in range(2)]
+            S = shirshov_complete(rels, CompletionConfig(max_degree=5)).basis
+            irr = irr_words(S, 4)
+            assert_checked_twins(irr, XYZ)
+            assert irr == brute_irr(S, XYZ, 4)
+            for _ in range(20):
+                assert_checked_poly(reduce(_random_poly(rng, XYZ, field=field), S))
+            for i in S.active:
+                for j in S.active:
+                    for c in compositions(S, i, j):
+                        assert_checked_twins([c.w], XYZ)
+                        assert_checked_poly(c.value)
+
+    @pytest.mark.parametrize("name", ["bicyclic", "plactic-3", "chinese-3", "free-comm-3", "s3"])
+    def test_catalog_monoids(self, name):
+        p = parse_presentation(S3) if name == "s3" else catalog(name)
+        res = complete_presentation(p, CompletionConfig(max_degree=7 if name == "plactic-3" else None))
+        irr = irr_words(res.basis, 5)
+        assert_checked_twins(irr, p.alphabet)
+        assert irr == brute_irr(res.basis, p.alphabet, 5)
+        rng = random.Random(7927)
+        k = len(p.alphabet)
+        for _ in range(100):
+            u = Word(p.alphabet, [rng.randrange(k) for _ in range(rng.randint(0, 24))])
+            nf = normal_form_word(u, res)
+            if nf is not ZERO:
+                assert_checked_twins([nf], p.alphabet)
+                assert nf.letters == rewrite_word(u.letters, res.basis)
+            assert_checked_poly(reduce(NcPolynomial.monomial(u), res.basis))
+
+    def test_pbw_factors_and_brackets(self):
+        res = complete_presentation(catalog("sl2"))
+        alphabet = res.basis.alphabet
+        monomials = pbw_basis(res, 4)
+        assert len(monomials) == 35
+        for m in monomials:
+            assert_checked_twins(m.factors, alphabet)
+            for u in m.factors:
+                assert_checked_poly(expand_bracket(lsw_bracket(u)))

@@ -1,21 +1,29 @@
+import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
 from shirshov import (
     Alphabet,
+    NcPolynomial,
     Word,
-    cmp_deglex,
-    cmp_lex_prefix_greater,
     find_inclusions,
     find_intersections,
 )
-from shirshov.words import AlphabetMismatchError
+from shirshov.words import AlphabetMismatchError, _trusted_word
 
-from oracles import brute_inclusions, brute_intersections, all_words
+from oracles import (
+    all_words,
+    brute_inclusions,
+    brute_intersections,
+    cmp_deglex,
+    cmp_lex_prefix_greater,
+)
 
 AB = Alphabet(("x", "y"))
 ABC = Alphabet(("a", "b", "c"))
+BA = Alphabet(("a", "b"))
 
 
 def w(text, alphabet=AB):
@@ -33,6 +41,63 @@ class TestAlphabet:
 
     def test_precedence_is_declaration_order(self):
         assert ABC.index("a") < ABC.index("b") < ABC.index("c")
+
+
+class TestWordBoundary:
+    """The public constructor checks its letters; the engine's trusted one does not."""
+
+    def test_out_of_range_rejected(self):
+        for letters in ((2,), (-1,), (0, 1, 5)):
+            with pytest.raises(ValueError, match="out of range"):
+                Word(AB, letters)
+
+    def test_non_int_letters_rejected(self):
+        for letters in ((1.0,), ("x",), (None,), (True,), (0, Fraction(1))):
+            with pytest.raises(TypeError, match="not an int"):
+                Word(AB, letters)
+
+    def test_any_sequence_is_stored_as_a_tuple(self):
+        u = Word(AB, [0, 1])
+        assert u.letters == (0, 1) and type(u.letters) is tuple
+        assert u == w("xy") and hash(u) == hash(w("xy"))
+        assert NcPolynomial.monomial(u) == NcPolynomial.monomial(w("xy"))
+        assert Word(AB, iter([1, 0])) == w("yx")
+        assert Word(AB, range(2)) == w("xy")
+
+    def test_frozen_and_slotted(self):
+        u = w("xy")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            u.letters = (1,)
+        assert not hasattr(u, "__dict__")
+
+    def test_hash_is_the_letters_hash(self):
+        assert hash(w("xyx")) == hash((0, 1, 0))
+        assert hash(w("")) == hash(())
+
+    def test_equal_letters_over_different_alphabets(self):
+        u, v = Word(AB, (0, 1)), Word(BA, (0, 1))
+        assert u != v and hash(u) == hash(v)
+        d = {u: 1, v: 2}
+        assert len(d) == 2 and d[u] == 1 and d[v] == 2
+        assert len({u, v, _trusted_word(AB, (0, 1))}) == 2
+        # an equal alphabet built apart gives an equal word
+        assert Word(Alphabet(("x", "y")), (0, 1)) == u
+
+    def test_trusted_word_equals_the_checked_one(self):
+        t = _trusted_word(AB, (1, 0))
+        c = Word(AB, (1, 0))
+        assert t == c and hash(t) == hash(c) and str(t) == str(c) == "yx"
+        assert t.alphabet is AB and type(t) is Word
+
+    def test_products_and_slices_keep_the_alphabet(self):
+        u = w("xyy")
+        assert u * w("x") == Word(AB, (0, 1, 1, 0))
+        assert u[1:] == Word(AB, (1, 1)) and u[0] == Word(AB, (0,))
+        assert (u * u)[2:4].alphabet is AB
+        with pytest.raises(AlphabetMismatchError):
+            u * w("a", ABC)
+        with pytest.raises(IndexError):
+            u[3]
 
 
 class TestDeglex:
