@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .ncpoly import NcPolynomial, coefficient_field, render_poly
-from .rewrite import RuleSet, _field_poly, _reduce_ints, _rewrite, reduce_with_steps
-from .words import Overlap, Word, _inclusions, _intersections, _trusted_word
+from .rewrite import RuleSet, _field_poly, _int_terms, _reduce_ints, _rewrite
+from .words import AlphabetMismatchError, Overlap, Word, _inclusions, _intersections, _trusted_word
 
 STATUS_COMPLETE = "complete"
 STATUS_CAPPED_DEGREE = "capped_degree"
@@ -104,7 +104,8 @@ class CompletionResult:
     @cached_property
     def non_binomial_rule(self) -> NcPolynomial | None:
         """The first rule that is neither a binomial lead - tail nor a monomial."""
-        return next((f for f in self.basis if not _is_binomial_shape(f)), None)
+        S = self.basis
+        return next((S[i] for i in range(len(S)) if not _is_binomial_shape(S._terms(i)[0], S.modulus)), None)
 
     def to_json_dict(self) -> dict:
         order = sorted(enumerate(self.basis.leads), key=lambda e: (len(e[1]), e[1]))
@@ -114,7 +115,7 @@ class CompletionResult:
             "basis": [
                 {
                     "lead": str(_trusted_word(self.basis.alphabet, lead)),
-                    "poly": render_poly(self.basis.rules[i]),
+                    "poly": render_poly(self.basis[i]),
                 }
                 for i, lead in order
             ],
@@ -170,17 +171,14 @@ def walk_compositions(S: RuleSet, max_degree: int | None = None):
                 if max_degree is not None and len(comp.overlap.w) > max_degree:
                     yield comp, None, 0
                     continue
-                residue, steps = _reduce_ints(S, *comp.ints())
-                yield comp, residue, steps
+                out, D, steps = _reduce_ints(S, *comp.ints())
+                yield comp, _field_poly(S, out, D), steps
 
 
-def _is_binomial_shape(f: NcPolynomial) -> bool:
-    if len(f.terms) == 1:
-        return True
-    if len(f.terms) == 2:
-        coeffs = list(f.terms.values())
-        return coeffs[0] == 1 and coeffs[1] == -1
-    return False
+def _is_binomial_shape(terms: dict, p: int) -> bool:
+    """Numerators by word over Q (p = 0) or GF(p): a monomial, or lead - u once monic."""
+    n = sum(terms.values())
+    return len(terms) == 1 or (len(terms) == 2 and (n % p if p else n) == 0)
 
 
 class _Loop:
@@ -190,8 +188,8 @@ class _Loop:
     and retired rules stop matching, so reductions see only its active rules.
     """
 
-    def __init__(self, enforce_binomial: bool):
-        self.basis = RuleSet()
+    def __init__(self, basis: RuleSet, enforce_binomial: bool):
+        self.basis = basis
         self.heap: list = []
         self.seq = 0
         self.certificates: list[CompositionRecord] = []
@@ -214,26 +212,28 @@ class _Loop:
                     stale[other] = None  # other's lead is a·lead·b with a·b nonempty
         return list(stale)
 
-    def add_rule(self, f: NcPolynomial) -> None:
-        """Monicize, install, spawn compositions, and interreduce older rules."""
-        f = f.monic()
-        lead, _ = f.leading()
-        if len(lead) == 0:
+    def add_rule(self, terms: dict) -> None:
+        """Install a nonzero residue as a monic rule, spawn compositions, interreduce."""
+        S = self.basis
+        if next(iter(terms)) == (0, ()):  # a nonzero constant
             self.unit = True
             return
-        if self.enforce_binomial and not _is_binomial_shape(f):
-            raise NonBinomialRuleError(f"non-binomial rule from word relations: {f}")
-        stale = self.push_compositions(self.basis.add(f))
+        idx = S._install(terms)
+        if self.enforce_binomial and not _is_binomial_shape(terms, S.modulus):
+            raise NonBinomialRuleError(f"non-binomial rule from word relations: {S[idx]}")
+        stale = self.push_compositions(idx)
         for i in stale:
-            self.basis.retire(i)
+            S.retire(i)
         for i in stale:
-            self.requeue(self.basis.rules[i])
+            self.adjoin(*S._terms(i))
 
-    def requeue(self, f: NcPolynomial) -> None:
-        r, steps = reduce_with_steps(f, self.basis)
+    def adjoin(self, terms: dict, D: int) -> tuple[dict, int]:
+        """Reduce terms over D, adjoin a nonzero residue, and return it as (out, D)."""
+        out, D, steps = _reduce_ints(self.basis, terms, D)
         self.reduction_steps += steps
-        if not r.is_zero():
-            self.add_rule(r)
+        if out:
+            self.add_rule(out)
+        return out, D
 
 
 def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> CompletionResult:
@@ -253,20 +253,25 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
     if max_degree < max_in:
         raise ValueError("max_degree must cover the input relation degrees")
 
-    enforce_binomial = all(_is_binomial_shape(f.monic()) for f in relations)
-    loop = _Loop(enforce_binomial)
+    # every relation is checked, and converted to ints, before the first reduction
+    S = RuleSet()
+    S._over(relations[0].alphabet, coefficient_field(relations[0].leading()[1]))
+    if any(f.alphabet != S.alphabet for f in relations):
+        raise AlphabetMismatchError("relations over different alphabets")
+    inputs = [_int_terms(f, S.field) for f in relations]
+    loop = _Loop(S, all(_is_binomial_shape(terms, S.modulus) for terms, _ in inputs))
 
     # install inputs one at a time, reducing each against what is already there
-    for f in relations:
+    for f, (terms, D) in zip(relations, inputs):
         if len(f.leading()[0]) == 0:
             loop.unit = True
             break
-        loop.requeue(f)
+        loop.adjoin(terms, D)
 
     def rule_cap_hit() -> bool:
         return cfg.max_rules is not None and len(loop.basis.active) > cfg.max_rules
 
-    active = loop.basis.active
+    active = S.active
     while loop.heap and not loop.unit:
         (_, comp) = heapq.heappop(loop.heap)
         if comp.source[0] not in active or comp.source[1] not in active:
@@ -274,19 +279,18 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
         if len(comp.overlap.w) > max_degree:
             loop.skipped += 1
             continue
-        residue, steps = _reduce_ints(loop.basis, *comp.ints())
-        loop.reduction_steps += steps
-        loop.certificates.append(CompositionRecord(comp, residue))
-        if not residue.is_zero():
-            loop.add_rule(residue)
-            if rule_cap_hit():
-                break
+        out, D = loop.adjoin(*comp.ints())
+        loop.certificates.append(CompositionRecord(comp, _field_poly(S, out, D)))
+        if out and rule_cap_hit():
+            break
 
-    basis = RuleSet(loop.basis.rules[i] for i in loop.basis.active)
+    basis = RuleSet()
+    basis._over(S.alphabet, S.field)
+    for i in () if loop.unit else S.active:
+        basis._install(S._terms(i)[0])
     if loop.unit:
         status = STATUS_UNIT_IDEAL
-        one = coefficient_field(relations[0].leading()[1])(1)  # the relations' field
-        basis = RuleSet([NcPolynomial.monomial(relations[0].alphabet.empty(), one)])
+        basis._install({(0, ()): 1})  # the rule 1
     elif rule_cap_hit():
         status = STATUS_CAPPED_RULES
     # An emptied heap certifies: each final pair's compositions were popped
@@ -298,7 +302,7 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
         status = STATUS_CAPPED_DEGREE
     else:
         status = STATUS_COMPLETE
-    stats = _stats(len(loop.certificates), loop.skipped, len(loop.basis), loop.reduction_steps)
+    stats = _stats(len(loop.certificates), loop.skipped, len(S), loop.reduction_steps)
     return CompletionResult(basis, status, loop.certificates, stats)
 
 

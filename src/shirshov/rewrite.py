@@ -30,10 +30,10 @@ def _max_steps() -> int:
 
 
 class RuleSet:
-    """An ordered set of monic rewrite rules s, read as s_lead -> s_lead - s."""
+    """An ordered set of monic rewrite rules s, read as s_lead -> s_lead - s, each
+    stored once, in integer form; ``S[i]`` and iteration render polynomials."""
 
     def __init__(self, rules=()):
-        self.rules: list[NcPolynomial] = []
         self.leads: list[tuple[int, ...]] = []
         # per rule, (L, (u, ...), (n, ...)): L times the rule is L·lead + sum n·u
         # in ints, u running over the tail's letters (over GF(p), L is 1)
@@ -47,31 +47,51 @@ class RuleSet:
             self.add(r)
 
     def __len__(self) -> int:
-        return len(self.rules)
+        return len(self.leads)
 
-    def __iter__(self):
-        return iter(self.rules)
+    def __getitem__(self, i: int) -> NcPolynomial:
+        return _field_poly(self, *self._terms(i))
+
+    def _terms(self, i: int) -> tuple[dict, int]:
+        """(terms, L): rule i as numerators over L, as ``_reduce_ints`` takes it."""
+        (L, us, ns), lead = self.tails[i], self.leads[i]
+        return {(len(u), u): n for u, n in zip((lead,) + us, (L,) + ns)}, L
+
+    def _over(self, alphabet: Alphabet, field) -> None:
+        self.alphabet, self.field = alphabet, field
+        self.modulus = 0 if field is Fraction else field.modulus
+
+    def _install(self, terms: dict) -> int:
+        """Store the monic multiple of the sum of n·w over terms, keyed (len(w), w) in
+        descending order over any denominator, as an active rule: over Q the ints'
+        primitive part with a positive lead, over GF(p) the ints times 1/lead."""
+        ns = list(terms.values())
+        if self.modulus:
+            inv = pow(ns[0], -1, self.modulus)
+            ns = [n * inv % self.modulus for n in ns]
+        else:
+            g = gcd(*ns) if ns[0] > 0 else -gcd(*ns)
+            ns = [n // g for n in ns]
+        (_, lead), *tail = terms
+        idx = len(self.leads)
+        self.leads.append(lead)
+        self.tails.append((ns[0], tuple(u for _, u in tail), tuple(ns[1:])))
+        self.active[idx] = None
+        self._automaton_cache = None
+        return idx
 
     def add(self, rule: NcPolynomial) -> int:
         if rule.is_zero():
             raise ValueError("zero polynomial is not a rule")
-        lead, lc = rule.leading()
+        lc = rule.leading()[1]
         if lc != 1:
             raise ValueError("rules must be monic")
         if self.alphabet is not None and rule.alphabet != self.alphabet:
             raise ValueError("rules over different alphabets")
         field = self.field or coefficient_field(lc)
-        ints, scale = _integer_form(list(rule.terms.values()), field)
-        self.alphabet = rule.alphabet
-        self.field = field
-        self.modulus = 0 if field is Fraction else field.modulus
-        idx = len(self.rules)
-        self.rules.append(rule)
-        self.leads.append(lead.letters)
-        self.tails.append((scale, tuple(u.letters for u in list(rule.terms)[1:]), tuple(ints[1:])))
-        self.active[idx] = None
-        self._automaton_cache = None
-        return idx
+        terms, _ = _int_terms(rule, field)
+        self._over(rule.alphabet, field)
+        return self._install(terms)
 
     def query_alphabet(self, alphabet: Alphabet | None = None) -> Alphabet:
         """The alphabet a query over this basis answers in.
@@ -169,15 +189,16 @@ def _check_field(c, field) -> None:
         raise TypeError(f"cannot mix {c!r} with {name} coefficients")
 
 
-def _integer_form(coeffs: list, field) -> tuple[list[int], int]:
-    """(ints, scale): each coefficient is its int over the scale, the lcm of the
-    denominators over Q; over GF(p) the residues over 1.  Another field raises TypeError."""
-    for c in coeffs:
+def _int_terms(f: NcPolynomial, field) -> tuple[dict, int]:
+    """(terms, D): f as numerators over D, keyed (len(w), w) in f's order, as
+    ``_reduce_ints`` takes it.  Over Q, D is the lcm of the denominators; over
+    GF(p), the residues over 1.  A coefficient of another field raises TypeError."""
+    for c in f.terms.values():
         _check_field(c, field)
     if field is not Fraction:
-        return [c.value for c in coeffs], 1
-    scale = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+        return {deglex_key(w): c.value for w, c in f.terms.items()}, 1
+    D = lcm(*(c.denominator for c in f.terms.values()))
+    return {deglex_key(w): c.numerator * (D // c.denominator) for w, c in f.terms.items()}, D
 
 
 def _rewrite(S: RuleSet, terms: dict, D: int, c: int, a: tuple, b: tuple, r: int) -> int:
@@ -210,11 +231,11 @@ def _rewrite(S: RuleSet, terms: dict, D: int, c: int, a: tuple, b: tuple, r: int
 
 
 def _reduce_ints(S: RuleSet, terms: dict, D: int):
-    """(normal form, steps) of the sum of n/D·w over terms, which maps keys
-    (len(w), w) to ints and is consumed.  Its deg-lex-greatest word is popped and
-    rewritten, or leaves as a field element: a rewrite only adds lower words."""
+    """(out, D, steps): the sum of n/D·w over terms, which maps keys (len(w), w) to
+    ints and is consumed, reduced to numerators over the final D in out, keyed alike.
+    Its deg-lex-greatest word is popped and rewritten, or leaves for out: a rewrite
+    only adds lower words.  A step that grows D rescales the numerators out."""
     max_steps = _max_steps()
-    field, p = S.field, S.modulus
     out = {}
     steps = 0
     while terms:
@@ -223,14 +244,18 @@ def _reduce_ints(S: RuleSet, terms: dict, D: int):
         w = key[1]
         m = S.leftmost_match(w)
         if m is None:
-            out[_trusted_word(S.alphabet, w)] = field(c) if p else Fraction(c, D)
+            out[key] = c
             continue
         pos, r = m
-        D = _rewrite(S, terms, D, c, w[:pos], w[pos + len(S.leads[r]):], r)
+        grown = _rewrite(S, terms, D, c, w[:pos], w[pos + len(S.leads[r]):], r)
+        if grown != D:
+            for t in out:
+                out[t] *= grown // D
+            D = grown
         steps += 1
         if steps > max_steps:
             raise StepLimitExceeded(f"reduction exceeded {max_steps} steps")
-    return NcPolynomial(S.alphabet, out), steps
+    return out, D, steps
 
 
 def _field_poly(S: RuleSet, terms: dict, D: int) -> NcPolynomial:
@@ -246,7 +271,7 @@ def reduce_with_steps(f: NcPolynomial, S: RuleSet):
     ``S.leftmost_match``, the leftmost match in every completion basis; with
     a nested lead the remainder may differ, a GS-basis verdict cannot.  An
     irreducible f is returned as is, any other goes to ``_reduce_ints`` in
-    integer form.
+    integer form and is rendered from its output.
     """
     S.query_alphabet(f.alphabet)
     if S.field is not None and f.terms:
@@ -256,8 +281,8 @@ def reduce_with_steps(f: NcPolynomial, S: RuleSet):
             break
     else:
         return f, 0
-    ints, D = _integer_form(list(f.terms.values()), S.field)
-    return _reduce_ints(S, {deglex_key(w): n for w, n in zip(f.terms, ints)}, D)
+    out, D, steps = _reduce_ints(S, *_int_terms(f, S.field))
+    return _field_poly(S, out, D), steps
 
 
 def reduce(f: NcPolynomial, S: RuleSet) -> NcPolynomial:

@@ -181,7 +181,7 @@ def random_ideal_element(rng, basis, alphabet, max_degree: int, n_terms: int):
     total = NcPolynomial.zero(alphabet)
     k = len(alphabet)
     for _ in range(n_terms):
-        s = basis.rules[rng.randrange(len(basis.rules))]
+        s = basis[rng.randrange(len(basis))]
         room = max_degree - len(s.leading()[0])
         if room < 0:
             continue
@@ -257,7 +257,7 @@ def reference_reduce_with_steps(f: NcPolynomial, S, match=brute_match):
         lead_len = len(S.leads[ridx])
         a = w[:pos]
         b = w[pos + lead_len:]
-        replacement = mul_bounded(a, S.rules[ridx], b).scale(terms[w])
+        replacement = mul_bounded(a, S[ridx], b).scale(terms[w])
         for u, cu in replacement.terms.items():
             nv = terms.get(u, 0) - cu
             if nv == 0:

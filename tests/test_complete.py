@@ -1,7 +1,10 @@
+import itertools
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -21,7 +24,7 @@ from shirshov import (
     reduce,
     shirshov_complete,
 )
-from shirshov import complete, words
+from shirshov import complete, rewrite, words
 from shirshov.complete import (
     CappedCompletionError,
     EmptyInputError,
@@ -32,9 +35,9 @@ from shirshov.complete import (
     walk_compositions,
 )
 from shirshov.present import CATALOG_NAMES
-from shirshov.rewrite import _reduce_ints, reduce_with_steps
+from shirshov.rewrite import _field_poly, _int_terms, _reduce_ints
 
-from oracles import nested_lead, random_ideal_element, reference_compositions
+from oracles import nested_lead, random_ideal_element, reference_compositions, reference_reduce_with_steps
 from test_golden import CASES as GOLDEN_CASES, EXTRA_SOURCES, _source as golden_source
 
 FEH = Alphabet(("f", "e", "h"))
@@ -160,10 +163,13 @@ class TestCompositionsAgainstReference:
     @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
     def test_fractional_coefficients(self, field):
         # rules of integer form scale L > 1 over Q: both rewrite steps rescale
-        # D, and the value and its reduction must still match the polynomials
+        # D, and the value and its reduction must still match the polynomials.
+        # reduce_with_steps shares _reduce_ints, so the reduction's reference is
+        # the polynomial slow path, and a step that grows D must rescale the
+        # numerators already out
         rng = random.Random(4133)
         AB = Alphabet(("x", "y"))
-        scaled = 0
+        scaled = rescaled = 0
         for trial in range(200):
             f, g = (
                 NcPolynomial(AB, {w: field(rng.randint(1, 5)) / field(rng.randint(1, 6))
@@ -173,12 +179,19 @@ class TestCompositionsAgainstReference:
             S = RuleSet([f, g])
             scaled += S.tails[0][0] > 1 and S.tails[1][0] > 1
             for i, j in ((0, 1), (1, 0), (0, 0)):
-                want = reference_compositions(S.rules[i], S.rules[j], i, j)
+                want = reference_compositions(S[i], S[j], i, j)
                 comps = compositions(S, i, j)
                 assert [c.value for c in comps] == [entry[-1] for entry in want]
                 for c in comps:
-                    assert _reduce_ints(S, *c.ints()) == reduce_with_steps(c.value, S)
-        assert scaled > 50 if field is Fraction else scaled == 0
+                    terms, D0 = c.ints()
+                    out, D, steps = _reduce_ints(S, terms, D0)
+                    assert list(out) == sorted(out, reverse=True)
+                    assert (_field_poly(S, out, D), steps) == reference_reduce_with_steps(c.value, S)
+                    rescaled += len(out) > 1 and D > D0  # D grew in a reduction with several words out
+        if field is Fraction:
+            assert scaled > 50 and rescaled > 50
+        else:
+            assert scaled == rescaled == 0
 
     def test_no_value_over_the_cap(self, monkeypatch):
         # every w of these rules has degree >= 3; at cap 2 nothing is reduced,
@@ -329,7 +342,7 @@ class TestShirshovComplete:
         A = Alphabet(("x", "y"))
         res = shirshov_complete([parse_poly("x - 1", A, field=F), parse_poly("x - 2", A, field=F)])
         assert res.status == STATUS_UNIT_IDEAL
-        (one,) = res.basis.rules[0].terms.values()
+        (one,) = res.basis[0].terms.values()
         assert type(one) is F
         assert reduce(parse_poly("x*y + 3", A, field=F), res.basis).is_zero()
 
@@ -440,15 +453,16 @@ class TestNoNestedActiveLeads:
         checked = set()  # active index tuples already found free of nesting
         calls = []
 
-        def watched(f, S):
+        def watched(S, terms, D):
             active = tuple(S.active)
             if active not in checked:
                 assert nested_lead(S) is None, [S.leads[i] for i in nested_lead(S)]
                 checked.add(active)
             calls.append(active)
-            return reduce_with_steps(f, S)
+            return _reduce_ints(S, terms, D)
 
-        monkeypatch.setattr(complete, "reduce_with_steps", watched)
+        # completion reduces its inputs, retired rules and compositions all here
+        monkeypatch.setattr(complete, "_reduce_ints", watched)
         return calls
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -487,11 +501,11 @@ class TestRetirement:
         log = []  # one (rule set, expected, retired) entry per add_rule call
         add_rule, retire = complete._Loop.add_rule, RuleSet.retire
 
-        def watched_add_rule(self, f):
-            lead = f.leading()[0].letters
+        def watched_add_rule(self, terms):
+            (_, lead), *_ = terms  # the residue's deg-lex-greatest word
             active = self.basis.active if lead else ()  # an empty lead ends the run
             log.append((self.basis, [i for i in active if _properly_contains(self.basis.leads[i], lead)], []))
-            add_rule(self, f)
+            add_rule(self, terms)
 
         def watched_retire(self, idx):
             basis, _, retired = log[-1]  # add_rule retires before it requeues
@@ -528,9 +542,11 @@ class TestRetirement:
 
     def test_equal_lead_is_not_retired(self, adds):
         # completion only adds irreducible leads; a direct add_rule can repeat one
-        loop = complete._Loop(enforce_binomial=False)
+        basis = RuleSet()
+        basis._over(BA, Fraction)
+        loop = complete._Loop(basis, enforce_binomial=False)
         for text in ("b*a - a", "b*a - 1", "b*b*a - b", "b - 1"):
-            loop.add_rule(parse_poly(text, BA))
+            loop.add_rule(_int_terms(parse_poly(text, BA), Fraction)[0])
         assert [expected for _, expected, _ in adds[:4]] == [[], [], [], [0, 1, 2]]
         self._retiring_adds(adds)
 
@@ -574,3 +590,126 @@ class TestIsGsBasis:
         assert all(i not in rec.composition.source for rec in failures)
         assert ok == ok_rest
         assert [rec.residue for rec in failures] == [rec.residue for rec in failures_rest]
+
+
+class TestInputValidation:
+    """Every relation's alphabet and field is checked before the first
+    reduction, so a unit relation listed first hides no mismatch."""
+
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("head", ["2", "x*y - y"])
+    def test_alphabet_mismatch(self, head, first):
+        rels = [parse_poly(head, Alphabet(("x", "y"))), parse_poly("z*x - x", XYZ)]
+        with pytest.raises(words.AlphabetMismatchError):
+            shirshov_complete(rels[first:] + rels[:first])
+
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("head", ["2", "x*y - y"])
+    def test_field_mismatch(self, head, first):
+        A = Alphabet(("x", "y"))
+        rels = [parse_poly(head, A), parse_poly("y*x - x", A, field=prime_field(7))]
+        with pytest.raises(TypeError):
+            shirshov_complete(rels[first:] + rels[:first])
+
+
+def _algebra_benchmark_sets():
+    """The complete-algebra benchmark's relation sets in catalog order: 24 fixed
+    pairs of 3-term relations of degree <= 3 over x y z, words and
+    coefficients drawn from two generators seeded 0, each over Q and over
+    GF(32003)."""
+    monomials = [w for d in range(4) for w in itertools.product(range(3), repeat=d)]
+    word_rng, coeff_rng = random.Random(0), random.Random(0)
+    shapes = []
+    for _ in range(24):
+        shape = []
+        for _ in range(2):
+            while True:
+                ws = word_rng.sample(monomials, 3)
+                if max(len(w) for w in ws) >= 2:
+                    break
+            shape.append(ws)
+        shapes.append([[(w, coeff_rng.choice((-3, -2, -1, 1, 2, 3))) for w in ws] for ws in shape])
+    return [
+        [NcPolynomial(XYZ, {Word(XYZ, w): field(c) for w, c in rel}) for rel in rels]
+        for rels in shapes
+        for field in (Fraction, prime_field(32003))
+    ]
+
+
+class TestPolynomialsAtTheBoundary:
+    """Completion keeps each rule in integer form: it builds a polynomial only
+    for a certificate's residue, and never calls reduce_with_steps, monic()
+    or RuleSet.add."""
+
+    def test_only_certificates_build_polynomials(self, monkeypatch):
+        sets = _algebra_benchmark_sets()
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(NcPolynomial, "__init__", counted("NcPolynomial", NcPolynomial.__init__))
+        monkeypatch.setattr(NcPolynomial, "monic", counted("monic", NcPolynomial.monic))
+        monkeypatch.setattr(RuleSet, "add", counted("add", RuleSet.add))
+        for module in (rewrite, complete):
+            if hasattr(module, "reduce_with_steps"):
+                monkeypatch.setattr(module, "reduce_with_steps", counted("reduce_with_steps", rewrite.reduce_with_steps))
+        certificates = 0
+        for rels in sets:
+            res = shirshov_complete(rels, CompletionConfig(max_degree=8))
+            certificates += len(res.certificates)
+        monkeypatch.undo()
+        assert certificates == 618
+        assert calls == {"NcPolynomial": certificates}
+
+
+def _non_monic(rng, field):
+    """A random polynomial over x y z whose lead coefficient is seldom 1: signed
+    numerators times a content of 1, 2 or 6, over denominators up to 4."""
+    lead = tuple(rng.randrange(3) for _ in range(rng.randint(1, 3)))
+    content = rng.choice((1, 2, 6))
+    lower = [tuple(rng.randrange(3) for _ in range(rng.randrange(len(lead)))) for _ in range(rng.randrange(4))]
+    return NcPolynomial(XYZ, {
+        Word(XYZ, w): field(content * rng.choice((-3, -2, -1, 1, 2, 5))) / field(rng.choice((1, 1, 2, 3, 4)))
+        for w in [lead] + lower
+    })
+
+
+class TestIntegerMonic:
+    """Completion makes a residue monic on ints: over Q its primitive part with
+    a positive lead, over GF(p) the residues times the lead's inverse.  The
+    rule it installs must be RuleSet([f.monic()])'s, whatever the residue's
+    denominator, and render back to f.monic()."""
+
+    @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
+    def test_installed_rule_is_the_polynomial_monic(self, field):
+        rng = random.Random(4139)
+        seen = Counter()
+        for _ in range(300):
+            f = _non_monic(rng, field)
+            want = RuleSet([f.monic()])
+            basis = RuleSet()
+            basis._over(XYZ, field)
+            loop = complete._Loop(basis, enforce_binomial=False)
+            terms, D = _int_terms(f, field)
+            lc = f.leading()[1]
+            seen["lead not 1"] += lc != 1
+            seen["L > 1"] += want.tails[0][0] > 1
+            if field is Fraction:
+                seen["negative lead"] += lc < 0
+                seen["content > 1"] += gcd(*terms.values()) > 1
+            loop.adjoin(dict(terms), D)  # an input's path into completion
+            # the same numerators over another denominator, with another content and sign
+            k = rng.choice((-6, -2, 3, 5))
+            loop.add_rule({key: n * k for key, n in terms.items()})
+            for i in (0, 1):
+                assert (basis.leads[i], basis.tails[i]) == (want.leads[0], want.tails[0])
+                assert basis[i] == f.monic()
+        assert seen["lead not 1"] > 200, seen
+        if field is Fraction:
+            assert min(seen.values()) > 50, seen
+        else:
+            assert seen["L > 1"] == 0

@@ -27,11 +27,12 @@ from shirshov.present import (
     NonBinomialBasisError,
     PresentationError,
     _ZeroWord,
+    _chinese_relations,
 )
 from shirshov.rewrite import RuleSet, StepLimitExceeded
 from shirshov.words import AlphabetMismatchError
 
-from oracles import all_words, binomial, congruence_classes, reference_growth_counts
+from oracles import all_words, binomial, congruence_classes, product_series, reference_growth_counts
 
 BICYCLIC_SRC = "kind: monoid\ngenerators: q p\nrelations:\n  p q = 1\n"
 
@@ -219,7 +220,7 @@ class TestNormalForm:
 
     def test_non_binomial_basis_rejected(self):
         p, res = completed("sl2")
-        first = re.escape(f"rule {res.basis.rules[0]} is not binomial")
+        first = re.escape(f"rule {res.basis[0]} is not binomial")
         with pytest.raises(NonBinomialBasisError, match=first):
             normal_form_word(p.alphabet.word("e f"), res)
         # growth reads only the leads, so any certified basis answers it
@@ -234,7 +235,7 @@ class TestNormalForm:
         p, res = completed("chinese-3")
         calls = []
         shape = complete._is_binomial_shape
-        monkeypatch.setattr(complete, "_is_binomial_shape", lambda f: calls.append(f) or shape(f))
+        monkeypatch.setattr(complete, "_is_binomial_shape", lambda terms, p: calls.append(terms) or shape(terms, p))
         for text in ("c b a", "c c b a a", "a b c"):
             normal_form_word(p.alphabet.word(text), res)
         growth_series(res, 3)
@@ -384,6 +385,30 @@ class TestGrowthSeries:
             assert gs.counts[ell] == exact
 
 
+def _chinese(n: int):
+    """chinese-n at any rank; the catalog stops at rank 4."""
+    gens = " ".join(chr(ord("a") + i) for i in range(n))
+    body = "".join(f"  {r}\n" for r in _chinese_relations(n))
+    return parse_presentation(f"kind: monoid\ngenerators: {gens}\nrelations:\n{body}")
+
+
+class TestClosedFormGrowth:
+    """The Chinese and plactic monoids of rank n both count the semistandard
+    tableaux over n letters (Cassaigne et al., IJAC 2001; Knuth 1970), whose
+    series by Littlewood's identity is (1 - t)^-n (1 - t^2)^-n(n-1)/2: an
+    end-to-end check of completion, the lead automaton and irr_counts at ranks
+    congruence_classes cannot reach."""
+
+    @pytest.mark.parametrize("name", ["chinese-3", "chinese-4", "chinese-5", "chinese-6", "plactic-3"])
+    def test_growth_to_length_12(self, name):
+        n = int(name.rsplit("-", 1)[1])
+        p = _chinese(n) if n > 4 else catalog(name)
+        res = complete_presentation(p, CompletionConfig(max_degree=7))
+        assert res.status == STATUS_COMPLETE
+        series = product_series([1] * n + [2] * (n * (n - 1) // 2), 12)
+        assert growth_series(res, 12).counts == tuple(series)
+
+
 class TestChurchRosser:
     @pytest.mark.parametrize("name", ["plactic-2", "plactic-3", "chinese-3", "bicyclic"])
     def test_all_single_step_successors_agree(self, name):
@@ -396,7 +421,7 @@ class TestChurchRosser:
                 for pos in range(len(w)):
                     for ridx, lead in enumerate(basis.leads):
                         if w.letters[pos : pos + len(lead)] == lead:
-                            rule = basis.rules[ridx]
+                            rule = basis[ridx]
                             repl = NcPolynomial.monomial(w[:pos]) * (
                                 NcPolynomial.monomial(w[pos:pos + len(lead)]) - rule
                             ) * NcPolynomial.monomial(w[pos + len(lead):])
