@@ -151,13 +151,13 @@ def _dispatch(args) -> int:
     if args.command == "check":
         rels = [f.monic() for f in to_algebra_relations(p)]
         checked, skipped, failures = 0, 0, []
-        for comp, residue, _ in walk_compositions(RuleSet(rels), args.max_deg):
-            if residue is None:
+        for rec in walk_compositions(RuleSet(rels), args.max_deg):
+            if rec.residue_ints is None:
                 skipped += 1
                 continue
             checked += 1
-            if not residue.is_zero():
-                failures.append((comp.w, residue))
+            if rec.residue_ints[0]:
+                failures.append(rec)
         if not failures:
             if skipped:
                 print(
@@ -168,8 +168,8 @@ def _dispatch(args) -> int:
             print(f"GS basis: yes ({len(rels)} rules, {checked} compositions checked)")
             return EXIT_OK
         print(f"GS basis: no ({len(failures)} failing compositions)")
-        for w, residue in failures:
-            print(f"  w = {w}: residue {residue}")
+        for rec in failures:
+            print(f"  w = {rec.composition.w}: residue {rec.residue}")
         return EXIT_NEGATIVE
 
     if args.command == "nf":

@@ -69,8 +69,16 @@ class Composition:
 
 @dataclass(frozen=True)
 class CompositionRecord:
+    """A composition and its residue as (numerators, D) from ``_reduce_ints``, None
+    when w lies over the cap; ``residue`` renders it only when read."""
+
     composition: Composition
-    residue: NcPolynomial
+    residue_ints: tuple[dict, int] | None
+
+    @property
+    def residue(self) -> NcPolynomial | None:
+        r = self.residue_ints
+        return None if r is None else _field_poly(self.composition.basis, *r)
 
 
 @dataclass
@@ -158,9 +166,9 @@ def compositions(S: RuleSet, i: int, j: int) -> list[Composition]:
 
 
 def walk_compositions(S: RuleSet, max_degree: int | None = None):
-    """(composition, residue, steps) for every active rule pair i <= j of S, in order.
+    """A CompositionRecord per composition of every active rule pair i <= j of S, in order.
 
-    The residue is None, and nothing is reduced, when w exceeds max_degree.
+    Its residue is None, and nothing is reduced, when w exceeds max_degree.
     """
     if max_degree is not None and max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -168,11 +176,8 @@ def walk_compositions(S: RuleSet, max_degree: int | None = None):
     for a, i in enumerate(indices):
         for j in indices[a:]:
             for comp in compositions(S, i, j):
-                if max_degree is not None and len(comp.overlap.w) > max_degree:
-                    yield comp, None, 0
-                    continue
-                out, D, steps = _reduce_ints(S, *comp.ints())
-                yield comp, _field_poly(S, out, D), steps
+                over = max_degree is not None and len(comp.overlap.w) > max_degree
+                yield CompositionRecord(comp, None if over else _reduce_ints(S, *comp.ints())[:2])
 
 
 def _is_binomial_shape(terms: dict, p: int) -> bool:
@@ -228,7 +233,10 @@ class _Loop:
             self.adjoin(*S._terms(i))
 
     def adjoin(self, terms: dict, D: int) -> tuple[dict, int]:
-        """Reduce terms over D, adjoin a nonzero residue, and return it as (out, D)."""
+        """Reduce terms over D, adjoin a nonzero residue, and return it as (out, D).
+        Modulo the unit ideal every residue is zero: nothing is reduced."""
+        if self.unit:
+            return {}, D
         out, D, steps = _reduce_ints(self.basis, terms, D)
         self.reduction_steps += steps
         if out:
@@ -262,10 +270,7 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
     loop = _Loop(S, all(_is_binomial_shape(terms, S.modulus) for terms, _ in inputs))
 
     # install inputs one at a time, reducing each against what is already there
-    for f, (terms, D) in zip(relations, inputs):
-        if len(f.leading()[0]) == 0:
-            loop.unit = True
-            break
+    for terms, D in inputs:
         loop.adjoin(terms, D)
 
     def rule_cap_hit() -> bool:
@@ -280,7 +285,7 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
             loop.skipped += 1
             continue
         out, D = loop.adjoin(*comp.ints())
-        loop.certificates.append(CompositionRecord(comp, _field_poly(S, out, D)))
+        loop.certificates.append(CompositionRecord(comp, (out, D)))
         if out and rule_cap_hit():
             break
 
@@ -308,9 +313,5 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
 
 def is_gs_basis(S: RuleSet, max_degree: int | None = None):
     """(verdict, failing compositions with nonzero residues)."""
-    failures = [
-        CompositionRecord(comp, residue)
-        for comp, residue, _ in walk_compositions(S, max_degree)
-        if residue is not None and not residue.is_zero()
-    ]
+    failures = [rec for rec in walk_compositions(S, max_degree) if rec.residue_ints and rec.residue_ints[0]]
     return (not failures, failures)

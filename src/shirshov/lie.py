@@ -195,8 +195,6 @@ def lie_gs_check(relations, max_degree: int | None = None):
     relations = list(relations)
     for f in relations:
         nlsw_decompose(f)  # raises NotLieElementError on bad input
-    if not relations:
-        return True, []
     S = RuleSet(f.monic() for f in relations)
     return is_gs_basis(S, max_degree)
 

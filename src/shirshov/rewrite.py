@@ -87,7 +87,7 @@ class RuleSet:
         if lc != 1:
             raise ValueError("rules must be monic")
         if self.alphabet is not None and rule.alphabet != self.alphabet:
-            raise ValueError("rules over different alphabets")
+            raise AlphabetMismatchError("rules over different alphabets")
         field = self.field or coefficient_field(lc)
         terms, _ = _int_terms(rule, field)
         self._over(rule.alphabet, field)
@@ -274,12 +274,12 @@ def reduce_with_steps(f: NcPolynomial, S: RuleSet):
     integer form and is rendered from its output.
     """
     S.query_alphabet(f.alphabet)
-    if S.field is not None and f.terms:
-        _check_field(f.leading()[1], S.field)
-    for w in f.terms:
-        if S.leftmost_match(w.letters) is not None:
-            break
-    else:
+    reducible = False
+    for w, c in f.terms.items():
+        if S.field is not None:
+            _check_field(c, S.field)
+        reducible = reducible or S.leftmost_match(w.letters) is not None
+    if not reducible:
         return f, 0
     out, D, steps = _reduce_ints(S, *_int_terms(f, S.field))
     return _field_poly(S, out, D), steps

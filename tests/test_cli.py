@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from shirshov import catalog, cli, complete_presentation
+from shirshov import NcPolynomial, catalog, cli, complete_presentation, parse_presentation, to_algebra_relations
 from shirshov.cli import run
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -122,6 +122,33 @@ class TestCheck:
         path = write("ng.gs", NG_SRC)
         assert run(["check", path, "--max-deg", "3"]) == 1
         assert capsys.readouterr().out == "GS basis: no (1 failing compositions)\n  w = zyx: residue z*z - x*x\n"
+
+
+    def test_fraction_residues(self, capsys, write):
+        src = "kind: algebra\ngenerators: x y\nrelations:\n  2*y*x - x\n  3*y*y - x*x\n"
+        assert run(["check", write("frac.gs", src)]) == 1
+        assert capsys.readouterr().out == (
+            "GS basis: no (2 failing compositions)\n"
+            "  w = yyx: residue -1/3*x*x*x + 1/4*x\n"
+            "  w = yyy: residue -1/3*x*x*y + 1/6*x*x\n"
+        )
+
+    @pytest.mark.parametrize("src, failures", [(catalog("sl2").source(), 0), (NG_SRC, 1)], ids=["yes", "no"])
+    def test_only_printed_residues_are_rendered(self, capsys, monkeypatch, write, src, failures):
+        # check builds the monic input relations, then one polynomial per failure it prints
+        built = []
+        init = NcPolynomial.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NcPolynomial, "__init__", counting_init)
+        [f.monic() for f in to_algebra_relations(parse_presentation(src))]
+        inputs = len(built)
+        assert run(["check", write("in.gs", src)]) == (1 if failures else 0)
+        assert len(built) - inputs == inputs + failures
+        assert capsys.readouterr().out.count("residue") == failures
 
 
 class TestComplete:

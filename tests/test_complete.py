@@ -103,6 +103,20 @@ class TestCompositions:
                         assert cmp_deglex(c.value.leading()[0], c.w) == -1
 
 
+@pytest.fixture
+def reduce_steps(monkeypatch):
+    """The step count of each reduction the walk and completion run, in order."""
+    steps = []
+
+    def counting(*args):
+        out, D, n = _reduce_ints(*args)
+        steps.append(n)
+        return out, D, n
+
+    monkeypatch.setattr(complete, "_reduce_ints", counting)
+    return steps
+
+
 def _random_rule(rng, alphabet, field, lead=None):
     """A monic rule: a random nonempty lead (or the given one) plus up to
     three random terms below it."""
@@ -193,7 +207,7 @@ class TestCompositionsAgainstReference:
         else:
             assert scaled == rescaled == 0
 
-    def test_no_value_over_the_cap(self, monkeypatch):
+    def test_no_value_over_the_cap(self, monkeypatch, reduce_steps):
         # every w of these rules has degree >= 3; at cap 2 nothing is reduced,
         # so no composition value, and no polynomial at all, is built; overlaps
         # are letter tuples, so neither compositions() nor a capped walk builds
@@ -231,11 +245,12 @@ class TestCompositionsAgainstReference:
         assert {c.overlap.kind for c in comps} == {"intersection", "inclusion"}
         assert built == []
         walked = list(walk_compositions(S, 2))
-        assert {comp.overlap.kind for comp, _, _ in walked} == {"intersection", "inclusion"}
-        assert all(residue is None and steps == 0 for _, residue, steps in walked)
+        assert {rec.composition.overlap.kind for rec in walked} == {"intersection", "inclusion"}
+        assert all(rec.residue_ints is None and rec.residue is None for rec in walked)
+        assert reduce_steps == []  # nothing reduced
         assert is_gs_basis(S, 2) == (True, [])
         assert built == []
-        assert walked[0][0].value is not None
+        assert walked[0].composition.value is not None
         assert set(built) == {"NcPolynomial", "Word"}
         built.clear()
         Word(XYZ, (0,))
@@ -266,7 +281,7 @@ class TestCompositionsAgainstReference:
         assert {c.overlap.kind for c in comps} == {"intersection", "inclusion"}
         assert any(c.overlap.a == c.overlap.b == () for c in comps)  # equal leads
         walked = list(walk_compositions(S, 2))
-        assert {comp.overlap.kind for comp, _, _ in walked} == {"intersection", "inclusion"}
+        assert {rec.composition.overlap.kind for rec in walked} == {"intersection", "inclusion"}
 
     def test_word_adapters_check_then_scan(self):
         # find_* check the alphabet and emptiness of Word arguments, then
@@ -335,6 +350,25 @@ class TestShirshovComplete:
         assert res2.status == STATUS_UNIT_IDEAL
         assert res.status == STATUS_COMPLETE
         assert is_gs_basis(res2.basis) == (True, [])
+
+    @pytest.mark.parametrize(
+        "texts, added, steps",
+        [
+            (["x", "x - 1"], 1, 1),
+            # x - 1 reduces to -1: the later inputs are neither reduced nor installed
+            (["x", "x - 1", "y*y*y - y*x", "y*x*y - x*y*y"], 1, 1),
+            (["2", "x*y - y"], 0, 0),
+            # x - 2 retires x*x - 1 and x*y - 1; requeued first, x*x - 1 reduces
+            # to 3 in two steps, and x*y - 1 is then not reduced
+            (["x*x - 1", "x*y - 1", "x - 2"], 3, 2),
+        ],
+    )
+    def test_unit_ideal_reduces_nothing_more(self, texts, added, steps):
+        A = Alphabet(("x", "y"))
+        res = shirshov_complete([parse_poly(t, A) for t in texts])
+        assert res.status == STATUS_UNIT_IDEAL
+        assert (res.stats["rules_added"], res.stats["reduction_steps"]) == (added, steps)
+        assert res.certificates == [] and [str(r) for r in res.basis] == ["1"]
 
     def test_unit_ideal_basis_keeps_the_field(self):
         # the unit rule is 1 of the relations' field, so the field's queries still reduce
@@ -410,7 +444,7 @@ def _assert_drain_certified(res, cap):
     basis's over-cap count, and every composition within the cap is trivial."""
     if res.status in (STATUS_COMPLETE, STATUS_CAPPED_DEGREE):
         walked = walk_compositions(res.basis, cap)
-        assert res.stats["compositions_skipped"] == sum(residue is None for _, residue, _ in walked)
+        assert res.stats["compositions_skipped"] == sum(rec.residue_ints is None for rec in walked)
         assert is_gs_basis(res.basis, cap) == (True, [])
 
 
@@ -572,24 +606,65 @@ class TestIsGsBasis:
         assert ok and fails == []
 
     @pytest.mark.parametrize("i", range(4))
-    def test_retired_rule_left_out(self, i):
+    def test_retired_rule_left_out(self, i, reduce_steps):
         rules = non_jacobi_relations() + [parse_poly("z*z*y - x", XYZ)]
         S = RuleSet(rules)
         S.retire(i)
-        walked = list(walk_compositions(S))
-        assert walked and all(i not in comp.source for comp, _, _ in walked)
-        # the same walk, residues and verdict as over the other rules alone
+        # the same walk, residues, step counts and verdict as over the other rules alone
         rest = RuleSet(r for k, r in enumerate(rules) if k != i)
 
-        def shape(walk):
-            return [(c.overlap.kind, str(c.w), str(r), steps) for c, r, steps in walk]
+        def shape(T):
+            reduce_steps.clear()
+            walk = list(walk_compositions(T))  # no cap: one reduction per record
+            assert len(reduce_steps) == len(walk)
+            return [(rec.composition.overlap.kind, str(rec.composition.w), str(rec.residue), n)
+                    for rec, n in zip(walk, reduce_steps)]
 
-        assert shape(walked) == shape(walk_compositions(rest))
+        walked = list(walk_compositions(S))
+        assert walked and all(i not in rec.composition.source for rec in walked)
+        assert shape(S) == shape(rest)
         ok, failures = is_gs_basis(S)
         ok_rest, failures_rest = is_gs_basis(rest)
         assert all(i not in rec.composition.source for rec in failures)
         assert ok == ok_rest
         assert [rec.residue for rec in failures] == [rec.residue for rec in failures_rest]
+
+
+def _fractional_rule(rng, alphabet, field):
+    """_random_rule's words with each coefficient over a denominator up to 4, made monic."""
+    f = _random_rule(rng, alphabet, field)
+    return NcPolynomial(alphabet, {w: c / field(rng.randint(1, 4)) for w, c in f.terms.items()}).monic()
+
+
+class TestIntegerResidues:
+    """is_gs_basis keeps each residue as ints over D and renders it only when
+    read: its failures must be, in walk order, the compositions whose value the
+    polynomial reference reduction (same match rule, nested leads or not) takes
+    to a nonzero residue, with that residue."""
+
+    @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
+    def test_failures_are_the_nonzero_reference_residues(self, field):
+        rng = random.Random(4157)
+        seen = Counter()
+        for _ in range(150):
+            S = RuleSet(_fractional_rule(rng, BA, field) for _ in range(rng.randint(2, 3)))
+            want = []
+            for a, i in enumerate(S.active):
+                for j in list(S.active)[a:]:
+                    for comp in compositions(S, i, j):
+                        residue, _ = reference_reduce_with_steps(comp.value, S)
+                        if not residue.is_zero():
+                            want.append((comp, residue))
+            ok, failures = is_gs_basis(S)
+            assert ok == (not want)
+            assert [(rec.composition, rec.residue) for rec in failures] == want
+            seen["failing sets"] += not ok
+            seen["D > 1"] += sum(rec.residue_ints[1] > 1 for rec in failures)
+        assert seen["failing sets"] > 80, seen
+        if field is Fraction:
+            assert seen["D > 1"] > 100, seen
+        else:
+            assert seen["D > 1"] == 0, seen
 
 
 class TestInputValidation:
@@ -637,9 +712,9 @@ def _algebra_benchmark_sets():
 
 
 class TestPolynomialsAtTheBoundary:
-    """Completion keeps each rule in integer form: it builds a polynomial only
-    for a certificate's residue, and never calls reduce_with_steps, monic()
-    or RuleSet.add."""
+    """Completion and is_gs_basis keep rules and residues in integer form: they
+    build no polynomial, and never call reduce_with_steps, monic() or
+    RuleSet.add.  A residue is rendered only when read."""
 
     def test_only_certificates_build_polynomials(self, monkeypatch):
         sets = _algebra_benchmark_sets()
@@ -657,13 +732,25 @@ class TestPolynomialsAtTheBoundary:
         for module in (rewrite, complete):
             if hasattr(module, "reduce_with_steps"):
                 monkeypatch.setattr(module, "reduce_with_steps", counted("reduce_with_steps", rewrite.reduce_with_steps))
-        certificates = 0
+        certificates, bases = 0, []
         for rels in sets:
             res = shirshov_complete(rels, CompletionConfig(max_degree=8))
             certificates += len(res.certificates)
-        monkeypatch.undo()
+            bases.append(res.basis)
         assert certificates == 618
-        assert calls == {"NcPolynomial": certificates}
+        assert calls == {}
+        walked = 0
+        for basis in bases:
+            assert is_gs_basis(basis, 8) == (True, [])
+            walked += sum(rec.residue_ints is not None for rec in walk_compositions(basis, 8))
+        assert calls == {}
+        monkeypatch.undo()
+        assert walked == 600
+        # reading a residue renders it: one polynomial per read
+        monkeypatch.setattr(NcPolynomial, "__init__", counted("NcPolynomial", NcPolynomial.__init__))
+        rec = res.certificates[-1]
+        assert rec.residue == rec.residue
+        assert calls == {"NcPolynomial": 2}
 
 
 def _non_monic(rng, field):

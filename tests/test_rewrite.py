@@ -91,6 +91,15 @@ class TestReduce:
         with pytest.raises(AlphabetMismatchError):
             reduce(f, RuleSet([parse_poly("x - 1", AB)]))
 
+    def test_rule_over_another_alphabet(self):
+        # as completion and reduce do; AlphabetMismatchError is a ValueError
+        S = RuleSet([parse_poly("x - 1", AB)])
+        for symbols in ("xyz", "yx"):
+            with pytest.raises(AlphabetMismatchError, match="different alphabets"):
+                S.add(parse_poly("y*x - x", Alphabet(tuple(symbols))))
+        assert issubclass(AlphabetMismatchError, ValueError)
+        assert len(S) == 1
+
     def test_idempotence_random(self):
         rng = random.Random(41)
         S = sl2_rules()
@@ -400,6 +409,14 @@ class TestFieldGuard:
         f = NcPolynomial(AB, {AB.word("x x x"): 1, AB.word("x x"): GF7(3), AB.word("y"): 1})
         with pytest.raises(TypeError, match="cannot mix"):
             reduce(f, RuleSet([parse_poly("y - x", AB)]))
+
+    @pytest.mark.parametrize("lead", ["x y", "y y x"], ids=["irreducible", "reducible"])
+    def test_reduce_checks_every_coefficient(self, lead):
+        # the GF(7) coefficient below a Q lead is caught before the
+        # irreducible fast path, not only on the way into a reduction
+        f = NcPolynomial(AB, {AB.word(lead): Fraction(1), AB.word("x"): GF7(2)})
+        with pytest.raises(TypeError, match="cannot mix"):
+            reduce(f, RuleSet([parse_poly("y*y - x", AB)]))
 
     def test_rejects_a_coefficient_of_no_field(self):
         y = AB.word("y")
