@@ -149,9 +149,9 @@ def _dispatch(args) -> int:
         return EXIT_OK if result.status in CERTIFYING_STATUSES else EXIT_CAPPED
 
     if args.command == "check":
-        rels = [f.monic() for f in to_algebra_relations(p)]
+        rules = RuleSet(to_algebra_relations(p))
         checked, skipped, failures = 0, 0, []
-        for rec in walk_compositions(RuleSet(rels), args.max_deg):
+        for rec in walk_compositions(rules, args.max_deg):
             if rec.residue_ints is None:
                 skipped += 1
                 continue
@@ -161,11 +161,11 @@ def _dispatch(args) -> int:
         if not failures:
             if skipped:
                 print(
-                    f"GS basis: unknown ({len(rels)} rules, {checked} compositions checked; "
+                    f"GS basis: unknown ({len(rules)} rules, {checked} compositions checked; "
                     f"{skipped} compositions above degree {args.max_deg} were not checked)"
                 )
                 return EXIT_CAPPED
-            print(f"GS basis: yes ({len(rels)} rules, {checked} compositions checked)")
+            print(f"GS basis: yes ({len(rules)} rules, {checked} compositions checked)")
             return EXIT_OK
         print(f"GS basis: no ({len(failures)} failing compositions)")
         for rec in failures:

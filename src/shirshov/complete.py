@@ -12,9 +12,9 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .ncpoly import NcPolynomial, coefficient_field, render_poly
-from .rewrite import RuleSet, _field_poly, _int_terms, _reduce_ints, _rewrite
-from .words import AlphabetMismatchError, Overlap, Word, _inclusions, _intersections, _trusted_word
+from .ncpoly import NcPolynomial, render_poly
+from .rewrite import RuleSet, _field_poly, _reduce_ints, _rewrite
+from .words import Overlap, Word, _inclusions, _intersections, _trusted_word
 
 STATUS_COMPLETE = "complete"
 STATUS_CAPPED_DEGREE = "capped_degree"
@@ -246,27 +246,19 @@ class _Loop:
 
 def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> CompletionResult:
     """Run Shirshov's completion on a list of nonzero polynomials."""
-    relations = list(relations)
-    if not relations:
+    # every relation is checked, and converted to ints, before the first reduction
+    S = RuleSet()
+    inputs = [S._admit(f) for f in relations]
+    if not inputs:
         raise EmptyInputError("completion needs at least one relation")
-    for f in relations:
-        if f.is_zero():
-            raise ValueError("zero polynomial is not a relation")
     if cfg is None:
         cfg = CompletionConfig()
     if cfg.max_rules is not None and cfg.max_rules < 0:
         raise ValueError("max_rules must be >= 0")
-    max_in = max(len(f.leading()[0]) for f in relations)
+    max_in = max(next(iter(terms))[0] for terms, _ in inputs)  # the leads' degrees
     max_degree = cfg.max_degree if cfg.max_degree is not None else max(6, max_in)
     if max_degree < max_in:
         raise ValueError("max_degree must cover the input relation degrees")
-
-    # every relation is checked, and converted to ints, before the first reduction
-    S = RuleSet()
-    S._over(relations[0].alphabet, coefficient_field(relations[0].leading()[1]))
-    if any(f.alphabet != S.alphabet for f in relations):
-        raise AlphabetMismatchError("relations over different alphabets")
-    inputs = [_int_terms(f, S.field) for f in relations]
     loop = _Loop(S, all(_is_binomial_shape(terms, S.modulus) for terms, _ in inputs))
 
     # install inputs one at a time, reducing each against what is already there

@@ -195,8 +195,7 @@ def lie_gs_check(relations, max_degree: int | None = None):
     relations = list(relations)
     for f in relations:
         nlsw_decompose(f)  # raises NotLieElementError on bad input
-    S = RuleSet(f.monic() for f in relations)
-    return is_gs_basis(S, max_degree)
+    return is_gs_basis(RuleSet(relations), max_degree)
 
 
 def pbw_basis(S, d: int, alphabet: Alphabet | None = None) -> list[PbwMonomial]:

@@ -29,7 +29,7 @@ from .complete import (
 from .lie import StructureTable, from_structure_constants
 from .ncpoly import NAME, NcPolynomial, PolyParseError, parse_poly
 from .rewrite import RuleSet, irr_counts, rewrite_word
-from .words import Alphabet, Word, _trusted_word
+from .words import Alphabet, Word, _trusted_word, deglex_key
 
 KINDS = ("algebra", "monoid", "group", "lie")
 
@@ -240,19 +240,15 @@ def to_algebra_relations(p: Presentation) -> list[NcPolynomial]:
         return list(p.relations)
     if p.kind == "lie":
         return [f for _, f in from_structure_constants(p.table, p.alphabet.symbols)]
-    rels = [
-        NcPolynomial.monomial(u) - NcPolynomial.monomial(v) for u, v in p.relations
-    ]
+    pairs = list(p.relations)
     if p.kind == "group":
         n = len(p.base_generators)
-        one = NcPolynomial.one(p.alphabet)
+        one = p.alphabet.empty()
         for g in range(n):
-            x = Word(p.alphabet, (g,))
-            xi = Word(p.alphabet, (g + n,))
-            rels.append(NcPolynomial.monomial(x * xi) - one)
-            rels.append(NcPolynomial.monomial(xi * x) - one)
-    # orientation by deg-lex: the greater side becomes the lead
-    return [f.monic() for f in rels if not f.is_zero()]
+            pairs += [(_trusted_word(p.alphabet, (g, g + n)), one), (_trusted_word(p.alphabet, (g + n, g)), one)]
+    # one binomial per u = v, u = u dropped: the deg-lex greater side is the lead, with coefficient 1
+    ordered = (sorted(pair, key=deglex_key, reverse=True) for pair in pairs if pair[0] != pair[1])
+    return [NcPolynomial(p.alphabet, {lead: 1, tail: -1}) for lead, tail in ordered]
 
 
 def complete_presentation(

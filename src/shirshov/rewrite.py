@@ -80,18 +80,21 @@ class RuleSet:
         self._automaton_cache = None
         return idx
 
+    def _admit(self, relation: NcPolynomial) -> tuple[dict, int]:
+        """The one gate for relations: a nonzero polynomial's ``_int_terms``.  The
+        first fixes the set's alphabet and field, every later one must match them."""
+        if relation.is_zero():
+            raise ValueError("zero polynomial is not a relation")
+        if self.alphabet is not None and relation.alphabet != self.alphabet:
+            raise AlphabetMismatchError("relations over different alphabets")
+        field = self.field or coefficient_field(relation.leading()[1])
+        out = _int_terms(relation, field)
+        self._over(relation.alphabet, field)
+        return out
+
     def add(self, rule: NcPolynomial) -> int:
-        if rule.is_zero():
-            raise ValueError("zero polynomial is not a rule")
-        lc = rule.leading()[1]
-        if lc != 1:
-            raise ValueError("rules must be monic")
-        if self.alphabet is not None and rule.alphabet != self.alphabet:
-            raise AlphabetMismatchError("rules over different alphabets")
-        field = self.field or coefficient_field(lc)
-        terms, _ = _int_terms(rule, field)
-        self._over(rule.alphabet, field)
-        return self._install(terms)
+        """Install any nonzero polynomial as its monic multiple."""
+        return self._install(self._admit(rule)[0])
 
     def query_alphabet(self, alphabet: Alphabet | None = None) -> Alphabet:
         """The alphabet a query over this basis answers in.

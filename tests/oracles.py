@@ -13,7 +13,7 @@ from functools import cmp_to_key
 
 from shirshov import Alphabet, NcPolynomial, Word, is_alsw, mul_bounded
 from shirshov.complete import CompletionResult
-from shirshov.lie import PbwMonomial
+from shirshov.lie import PbwMonomial, from_structure_constants
 from shirshov.rewrite import RuleSet, irr_words
 from shirshov.words import AlphabetMismatchError, deglex_key
 
@@ -356,3 +356,23 @@ def product_series(lengths, d: int) -> list[int]:
         for m in range(n, d + 1):
             coeffs[m] += coeffs[m - n]
     return coeffs
+
+
+def reference_algebra_relations(p):
+    """A presentation's polynomial relations by polynomial arithmetic: u - v per
+    word relation, and x·x' - 1 and x'·x - 1 per group generator, each made
+    monic, the zero ones dropped; algebra and Lie kinds as the library reads them."""
+    if p.kind == "algebra":
+        return list(p.relations)
+    if p.kind == "lie":
+        return [f for _, f in from_structure_constants(p.table, p.alphabet.symbols)]
+    rels = [NcPolynomial.monomial(u) - NcPolynomial.monomial(v) for u, v in p.relations]
+    if p.kind == "group":
+        n = len(p.base_generators)
+        one = NcPolynomial.one(p.alphabet)
+        for g in range(n):
+            x = Word(p.alphabet, (g,))
+            xi = Word(p.alphabet, (g + n,))
+            rels.append(NcPolynomial.monomial(x * xi) - one)
+            rels.append(NcPolynomial.monomial(xi * x) - one)
+    return [f.monic() for f in rels if not f.is_zero()]

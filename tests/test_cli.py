@@ -8,6 +8,9 @@ import pytest
 
 from shirshov import NcPolynomial, catalog, cli, complete_presentation, parse_presentation, to_algebra_relations
 from shirshov.cli import run
+from shirshov.present import CATALOG_NAMES
+
+from test_present import PARSE_ERRORS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 RUNAWAY_SRC = "kind: algebra\ngenerators: y x\nrelations:\n  x*x - x*y\n"
@@ -15,6 +18,10 @@ RUNAWAY_SRC = "kind: algebra\ngenerators: y x\nrelations:\n  x*x - x*y\n"
 NG_SRC = "kind: algebra\ngenerators: x y z\nrelations:\n  z*y - x\n  y*x - z\n"
 # x = 1 and x = 0: the quotient is zero, so every word is the zero class
 UNIT_IDEAL_SRC = "kind: algebra\ngenerators: x y\nrelations:\n  x - 1\n  x\n"
+# the symmetric group of order 6: a group file, with its inverse relations
+S3_SRC = "kind: group\ngenerators: a b\nrelations:\n  a a = 1\n  b b b = 1\n  a b a b = 1\n"
+# leads with coefficients -2 and 6: rules made monic from a negative lead with content 2
+NON_MONIC_SRC = "kind: algebra\ngenerators: x y\nrelations:\n  -2*y*x + 4*x*y - 6\n  6*y*y - 4*x\n"
 # arguments after the file, for each subcommand that needs a certified basis
 QUERY_ARGS = {"nf": ["x y"], "eq": ["x", "y"], "irr": ["--deg", "3"], "growth": ["--len", "3"]}
 
@@ -135,7 +142,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("src, failures", [(catalog("sl2").source(), 0), (NG_SRC, 1)], ids=["yes", "no"])
     def test_only_printed_residues_are_rendered(self, capsys, monkeypatch, write, src, failures):
-        # check builds the monic input relations, then one polynomial per failure it prints
+        # check builds the input relations, then one polynomial per failure it prints
         built = []
         init = NcPolynomial.__init__
 
@@ -144,7 +151,7 @@ class TestCheck:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(NcPolynomial, "__init__", counting_init)
-        [f.monic() for f in to_algebra_relations(parse_presentation(src))]
+        to_algebra_relations(parse_presentation(src))
         inputs = len(built)
         assert run(["check", write("in.gs", src)]) == (1 if failures else 0)
         assert len(built) - inputs == inputs + failures
@@ -226,6 +233,41 @@ class TestGrowth:
         code = run(["growth", catalog_file("bicyclic"), "--len", "3"])
         assert code == 0
         assert capsys.readouterr().out.split() == ["1", "2", "3", "4"]
+
+
+class TestGroup:
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["growth", "--len", "5"], "1 3 2 0 0 0\n"),
+            (["eq", "a b", "b' a"], "equal\n"),
+            (["nf", "a' b' a'", "b a b"], "b\na\n"),
+        ],
+        ids=["growth", "eq", "nf"],
+    )
+    def test_s3(self, capsys, write, argv, out):
+        assert run([argv[0], write("s3.gs", S3_SRC), *argv[1:]]) == 0
+        assert capsys.readouterr().out == out
+
+
+class TestRelationsWithoutArithmetic:
+    """Relations reach the rule store with no polynomial arithmetic: a word
+    relation is built as one binomial, and RuleSet takes any relation to its
+    monic multiple on ints."""
+
+    @pytest.mark.parametrize("name", [*CATALOG_NAMES, "s3", "non-monic"])
+    def test_complete_and_check(self, monkeypatch, write, name):
+        src = {"s3": S3_SRC, "non-monic": NON_MONIC_SRC}.get(name) or catalog(name).source()
+        path = write("in.gs", src)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("polynomial arithmetic on the way to the rule store")
+
+        for attr in ("__add__", "__sub__", "__neg__", "__mul__", "scale", "monic"):
+            monkeypatch.setattr(NcPolynomial, attr, refuse)
+        assert complete_presentation(parse_presentation(src)).status in ("complete", "capped_degree")
+        assert run(["complete", path, "--json"]) in (0, 3)
+        assert run(["check", path]) in (0, 1)
 
 
 class TestUnitIdeal:
@@ -323,6 +365,29 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "max_degree must be >= 0" in captured.err
+
+    @pytest.mark.parametrize("command", ["complete", "check"])
+    def test_zero_relation_is_one_usage_error(self, capsys, write, command):
+        # both commands admit relations through the rule set, so both say the same
+        path = write("zero.gs", "kind: algebra\ngenerators: x y\nrelations:\n  x*y - x*y\n")
+        assert run([command, path]) == 2
+        assert capsys.readouterr() == ("", "error: zero polynomial is not a relation\n")
+
+    def test_degree_cap_below_the_inputs_is_usage_error(self, capsys, write):
+        assert run(["complete", write("ng.gs", NG_SRC), "--max-deg", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: max_degree must cover the input relation degrees\n")
+
+    @pytest.mark.parametrize("command", ["irr", "pbw"])
+    def test_negative_degree_bound_is_usage_error(self, capsys, catalog_file, command):
+        assert run([command, catalog_file("sl2"), "--deg", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: degree bound must be >= 0\n")
+
+    @pytest.mark.parametrize("src, line, message", PARSE_ERRORS)
+    def test_parse_error_names_file_and_line(self, capsys, write, src, line, message):
+        path = write("bad.gs", src)
+        assert run(["check", path]) == 2
+        where = "" if line is None else f"line {line}: "
+        assert capsys.readouterr() == ("", f"error: {path}: {where}{message}\n")
 
     def test_unknown_generator_in_word_is_usage_error(self, capsys, catalog_file):
         # exit 1 would claim the words are "not equal"

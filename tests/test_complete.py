@@ -686,6 +686,19 @@ class TestInputValidation:
         with pytest.raises(TypeError):
             shirshov_complete(rels[first:] + rels[:first])
 
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_zero_relation(self, first):
+        rels = [parse_poly("y*x - x", XYZ), NcPolynomial.zero(XYZ)]
+        for make in (shirshov_complete, RuleSet):
+            with pytest.raises(ValueError, match="^zero polynomial is not a relation$"):
+                make(rels[first:] + rels[:first])
+
+    def test_degree_cap_below_the_inputs(self):
+        rels = [parse_poly("y*x - x", XYZ), parse_poly("z*y*x - 1", XYZ)]
+        with pytest.raises(ValueError, match="^max_degree must cover the input relation degrees$"):
+            shirshov_complete(rels, CompletionConfig(max_degree=2))
+        assert shirshov_complete(rels, CompletionConfig(max_degree=3)).status == STATUS_COMPLETE
+
 
 def _algebra_benchmark_sets():
     """The complete-algebra benchmark's relation sets in catalog order: 24 fixed
@@ -800,3 +813,15 @@ class TestIntegerMonic:
             assert min(seen.values()) > 50, seen
         else:
             assert seen["L > 1"] == 0
+
+    @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
+    def test_rule_set_takes_any_multiple(self, field):
+        # RuleSet.add installs the monic multiple of whatever nonzero polynomial it is given
+        rng = random.Random(6151)
+        not_monic = 0
+        for _ in range(300):
+            f = _non_monic(rng, field)
+            not_monic += f.leading()[1] != 1
+            got, want = RuleSet([f]), RuleSet([f.monic()])
+            assert (got.leads, got.tails, got[0]) == (want.leads, want.tails, want[0])
+        assert not_monic > 200

@@ -332,6 +332,12 @@ class TestPbwBasis:
             pbw_basis(res, 2, ABC)
         assert pbw_basis(res, 2, Alphabet(("f", "e", "h"))) == pbw_basis(res, 2)
 
+    def test_rule_set_certified_elsewhere(self):
+        rels = [f for _, f in from_structure_constants(sl2_table(), ("f", "e", "h"))]
+        res = shirshov_complete(rels)
+        assert len(pbw_basis(res.basis, 3)) == 1 + 3 + 6 + 10
+        assert pbw_basis(res.basis, 3) == pbw_basis(res, 3)
+
     def test_degree_zero(self):
         out = pbw_basis(None, 0, BA)
         assert len(out) == 1 and out[0].factors == ()

@@ -1,6 +1,7 @@
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -32,9 +33,63 @@ from shirshov.present import (
 from shirshov.rewrite import RuleSet, StepLimitExceeded
 from shirshov.words import AlphabetMismatchError
 
-from oracles import all_words, binomial, congruence_classes, product_series, reference_growth_counts
+from oracles import (
+    all_words,
+    binomial,
+    congruence_classes,
+    product_series,
+    reference_algebra_relations,
+    reference_growth_counts,
+)
 
 BICYCLIC_SRC = "kind: monoid\ngenerators: q p\nrelations:\n  p q = 1\n"
+LIE_HEAD = "kind: lie\ngenerators: x y z\nrelations:\n"
+# (source, line, message): one case per parser rejection branch; a missing
+# header has no line to name
+PARSE_ERRORS = [
+    pytest.param("generators: a\nrelations:\n  a = a\n", None, "missing 'kind:' header", id="no-kind"),
+    pytest.param("kind: monoid\nrelations:\n  a = a\n", None, "missing 'generators:' header", id="no-generators"),
+    pytest.param(
+        "kind: monoid\ngenerators:\nrelations:\n", None, "missing 'generators:' header", id="empty-generators"
+    ),
+    pytest.param(
+        "kind: monoid\ngenerators: a\nrelations: a = a\n", 3, "relations must follow on their own lines",
+        id="text-after-relations",
+    ),
+    pytest.param(
+        "kind: monoid\ngenerators: a\na a = a\nrelations:\n", 3, "unexpected line 'a a = a'", id="stray-line"
+    ),
+    pytest.param(
+        LIE_HEAD + "  bracket y x z\n", 4, "expected 'bracket i j = linear combination'", id="lie-no-equals"
+    ),
+    pytest.param(
+        LIE_HEAD + "  bracket y x =\n", 4, "expected 'bracket i j = linear combination'", id="lie-empty-right"
+    ),
+    pytest.param(LIE_HEAD + "  brace y x = z\n", 4, "expected 'bracket i j = ...'", id="lie-head"),
+    pytest.param(LIE_HEAD + "  bracket y = z\n", 4, "expected 'bracket i j = ...'", id="lie-short-head"),
+    pytest.param(LIE_HEAD + "  bracket w x = z\n", 4, "unknown generator 'w'", id="lie-unknown"),
+    pytest.param(
+        LIE_HEAD + "  bracket x y = z\n", 4, "left side must list the precedence-greater generator first",
+        id="lie-order",
+    ),
+    pytest.param(
+        LIE_HEAD + "  bracket x x = 0\n", 4, "left side must list the precedence-greater generator first",
+        id="lie-self",
+    ),
+    pytest.param(
+        LIE_HEAD + "  bracket y x = z*z\n", 4, "bracket right side must be linear in the generators",
+        id="lie-quadratic",
+    ),
+    pytest.param(
+        LIE_HEAD + "  bracket y x = 1\n", 4, "bracket right side must be linear in the generators",
+        id="lie-constant",
+    ),
+    pytest.param(LIE_HEAD + "  bracket y x = z +\n", 4, "dangling sign", id="lie-bad-right"),
+    pytest.param(
+        LIE_HEAD + "  bracket y x = z\n  bracket z x = 0\n  bracket y x = 0\n", 6, "duplicate bracket entry",
+        id="lie-duplicate",
+    ),
+]
 
 
 # plactic-3 has degree-4 basis elements whose compositions reach degree 7
@@ -140,6 +195,24 @@ class TestParsePresentation:
         assert p.kind == "algebra"
         assert len(p.relations) == 1
 
+    @pytest.mark.parametrize("src, line, message", PARSE_ERRORS)
+    def test_rejections_name_their_line(self, src, line, message):
+        with pytest.raises(PresentationError) as exc:
+            parse_presentation(src)
+        assert exc.value.line == line
+        assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+    def test_algebra_source_round_trip(self):
+        # fractions and a constant term render back to what parses to the same relations
+        src = "kind: algebra\ngenerators: x y\nrelations:\n  2*y*x - 1/3*x*y + 5\n  -3/4*y*y + x - 1/2\n"
+        p = parse_presentation(src)
+        assert p.source() == (
+            "kind: algebra\ngenerators: x y\nrelations:\n  2*y*x - 1/3*x*y + 5\n  -3/4*y*y + x - 1/2\n"
+        )
+        again = parse_presentation(p.source())
+        assert again == p
+        assert again.source() == p.source()
+
     def test_source_round_trip(self):
         for name in ("bicyclic", "plactic-2", "sl2", "free-comm-3"):
             p = catalog(name)
@@ -165,6 +238,47 @@ class TestToAlgebraRelations:
         p = catalog("plactic-2")
         rels = {str(f) for f in to_algebra_relations(p)}
         assert rels == {"b*a*a - a*b*a", "b*b*a - b*a*b"}
+
+    def test_matches_polynomial_arithmetic(self):
+        # each binomial, built at once with its deg-lex greater side monic, is
+        # the polynomial u - v made monic, in the same order, u = u dropped
+        def terms(rels):
+            return [(f.alphabet, [(w, type(c), c) for w, c in f.terms.items()]) for f in rels]
+
+        presentations = [catalog(name) for name in CATALOG_NAMES]
+        rng = random.Random(20261019)
+        seen = Counter()
+        for kind in ("monoid", "group") * 60:
+            gens = "abc"[: rng.randint(1, 3)]
+            symbols = list(gens) + ([g + "'" for g in gens] if kind == "group" else [])
+            lines = []
+            for _ in range(rng.randint(1, 5)):
+                u, v = (" ".join(rng.choices(symbols, k=rng.randrange(4))) or "1" for _ in range(2))
+                if rng.random() < 0.2:
+                    v = u
+                seen["u = u"] += u == v
+                seen["w = 1"] += v == "1" != u
+                seen["1 = w"] += u == "1" != v
+                lines.append(f"  {u} = {v}\n")
+            head = f"kind: {kind}\ngenerators: {' '.join(gens)}\nrelations:\n"
+            presentations.append(parse_presentation(head + "".join(lines)))
+        for p in presentations:
+            assert terms(to_algebra_relations(p)) == terms(reference_algebra_relations(p)), p.source()
+        assert min(seen.values()) > 10, seen
+
+    def test_one_polynomial_per_relation(self, monkeypatch):
+        p = parse_presentation("kind: group\ngenerators: a b\nrelations:\n  a a = 1\n  b = b\n  1 = a b a b\n")
+        built = []
+        init = NcPolynomial.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NcPolynomial, "__init__", counting_init)
+        rels = to_algebra_relations(p)
+        assert [str(f) for f in rels] == ["a*a - 1", "a*b*a*b - 1", "a*a' - 1", "a'*a - 1", "b*b' - 1", "b'*b - 1"]
+        assert len(built) == len(rels)
 
 
 class TestCatalog:

@@ -199,6 +199,14 @@ class TestIrrWords:
         got = [str(w) for w in irr_words(RuleSet(), 1, X)]
         assert got == ["1", "x"]
 
+    def test_empty_rule_set_needs_an_alphabet(self):
+        # with no rule there is no alphabet to answer in
+        with pytest.raises(ValueError, match="^empty rule set needs an explicit alphabet$"):
+            RuleSet().query_alphabet()
+        with pytest.raises(ValueError, match="^empty rule set needs an explicit alphabet$"):
+            irr_words(RuleSet(), 1)
+        assert RuleSet().query_alphabet(AB) is AB
+
     def test_foreign_alphabet_rejected(self):
         # letters are indices: over a < b the lead yx would silently drop ba
         S = RuleSet([parse_poly("y*x - 1", AB)])
