@@ -144,19 +144,19 @@ def _dispatch(args) -> int:
             print(result.to_json())
         else:
             print(f"status: {result.status}")
-            for entry in result.to_json_dict()["basis"]:
-                print(f"  {entry['poly']}")
+            for f in result.ordered_basis():
+                print(f"  {f}")
         return EXIT_OK if result.status in CERTIFYING_STATUSES else EXIT_CAPPED
 
     if args.command == "check":
         rules = RuleSet(to_algebra_relations(p))
         checked, skipped, failures = 0, 0, []
         for rec in walk_compositions(rules, args.max_deg):
-            if rec.residue_ints is None:
+            if rec.residue is None:
                 skipped += 1
                 continue
             checked += 1
-            if rec.residue_ints[0]:
+            if rec.residue.ints:
                 failures.append(rec)
         if not failures:
             if skipped:

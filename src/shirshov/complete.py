@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .ncpoly import NcPolynomial, render_poly
-from .rewrite import RuleSet, _field_poly, _reduce_ints, _rewrite
+from .rewrite import RuleSet, _residue, _rewrite
 from .words import Overlap, Word, _inclusions, _intersections, _trusted_word
 
 STATUS_COMPLETE = "complete"
@@ -42,7 +42,7 @@ class Composition:
 
     Its value, f·b - a·g for an intersection and f - a·g·b for an inclusion,
     is w's rewrite by g at a minus its rewrite by f at the front: ``ints``
-    forms it on integer forms, and ``value`` renders it only when read.
+    forms it on integer forms, and ``value`` builds it only when read.
     """
 
     source: tuple[int, int]
@@ -64,21 +64,17 @@ class Composition:
 
     @property
     def value(self) -> NcPolynomial:
-        return _field_poly(self.basis, *self.ints())
+        terms, D = self.ints()
+        S = self.basis
+        return NcPolynomial._from_ints(S.alphabet, S.field, dict(sorted(terms.items(), reverse=True)), D)
 
 
 @dataclass(frozen=True)
 class CompositionRecord:
-    """A composition and its residue as (numerators, D) from ``_reduce_ints``, None
-    when w lies over the cap; ``residue`` renders it only when read."""
+    """A composition and its residue, None when w lies over the cap."""
 
     composition: Composition
-    residue_ints: tuple[dict, int] | None
-
-    @property
-    def residue(self) -> NcPolynomial | None:
-        r = self.residue_ints
-        return None if r is None else _field_poly(self.composition.basis, *r)
+    residue: NcPolynomial | None
 
 
 @dataclass
@@ -113,20 +109,17 @@ class CompletionResult:
     def non_binomial_rule(self) -> NcPolynomial | None:
         """The first rule that is neither a binomial lead - tail nor a monomial."""
         S = self.basis
-        return next((S[i] for i in range(len(S)) if not _is_binomial_shape(S._terms(i)[0], S.modulus)), None)
+        return next((f for f in S.rules if not _is_binomial_shape(f.ints, S.modulus)), None)
+
+    def ordered_basis(self) -> list[NcPolynomial]:
+        """The basis's rules in ascending deg-lex order of their leads (each rule's first ``ints`` key)."""
+        return sorted(self.basis.rules, key=lambda f: next(iter(f.ints)))
 
     def to_json_dict(self) -> dict:
-        order = sorted(enumerate(self.basis.leads), key=lambda e: (len(e[1]), e[1]))
         return {
             "format": 1,
             "status": self.status,
-            "basis": [
-                {
-                    "lead": str(_trusted_word(self.basis.alphabet, lead)),
-                    "poly": render_poly(self.basis[i]),
-                }
-                for i, lead in order
-            ],
+            "basis": [{"lead": str(f.leading()[0]), "poly": render_poly(f)} for f in self.ordered_basis()],
             "certificates": [
                 {
                     "source": list(rec.composition.source),
@@ -177,7 +170,7 @@ def walk_compositions(S: RuleSet, max_degree: int | None = None):
         for j in indices[a:]:
             for comp in compositions(S, i, j):
                 over = max_degree is not None and len(comp.overlap.w) > max_degree
-                yield CompositionRecord(comp, None if over else _reduce_ints(S, *comp.ints())[:2])
+                yield CompositionRecord(comp, None if over else _residue(S, *comp.ints())[0])
 
 
 def _is_binomial_shape(terms: dict, p: int) -> bool:
@@ -217,36 +210,36 @@ class _Loop:
                     stale[other] = None  # other's lead is a·lead·b with a·b nonempty
         return list(stale)
 
-    def add_rule(self, terms: dict) -> None:
+    def add_rule(self, residue: NcPolynomial) -> None:
         """Install a nonzero residue as a monic rule, spawn compositions, interreduce."""
         S = self.basis
-        if next(iter(terms)) == (0, ()):  # a nonzero constant
+        if residue.degree == 0:  # a nonzero constant
             self.unit = True
             return
-        idx = S._install(terms)
-        if self.enforce_binomial and not _is_binomial_shape(terms, S.modulus):
+        idx = S._install(residue)
+        if self.enforce_binomial and not _is_binomial_shape(residue.ints, S.modulus):
             raise NonBinomialRuleError(f"non-binomial rule from word relations: {S[idx]}")
         stale = self.push_compositions(idx)
         for i in stale:
             S.retire(i)
         for i in stale:
-            self.adjoin(*S._terms(i))
+            self.adjoin(dict(S[i].ints), S[i].den)
 
-    def adjoin(self, terms: dict, D: int) -> tuple[dict, int]:
-        """Reduce terms over D, adjoin a nonzero residue, and return it as (out, D).
+    def adjoin(self, terms: dict, D: int) -> NcPolynomial:
+        """Reduce terms over D, adjoin a nonzero residue, and return it.
         Modulo the unit ideal every residue is zero: nothing is reduced."""
         if self.unit:
-            return {}, D
-        out, D, steps = _reduce_ints(self.basis, terms, D)
+            return self.basis.zero
+        residue, steps = _residue(self.basis, terms, D)
         self.reduction_steps += steps
-        if out:
-            self.add_rule(out)
-        return out, D
+        if residue.ints:
+            self.add_rule(residue)
+        return residue
 
 
 def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> CompletionResult:
     """Run Shirshov's completion on a list of nonzero polynomials."""
-    # every relation is checked, and converted to ints, before the first reduction
+    # every relation is checked before the first reduction
     S = RuleSet()
     inputs = [S._admit(f) for f in relations]
     if not inputs:
@@ -255,15 +248,15 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
         cfg = CompletionConfig()
     if cfg.max_rules is not None and cfg.max_rules < 0:
         raise ValueError("max_rules must be >= 0")
-    max_in = max(next(iter(terms))[0] for terms, _ in inputs)  # the leads' degrees
+    max_in = max(f.degree for f in inputs)
     max_degree = cfg.max_degree if cfg.max_degree is not None else max(6, max_in)
     if max_degree < max_in:
         raise ValueError("max_degree must cover the input relation degrees")
-    loop = _Loop(S, all(_is_binomial_shape(terms, S.modulus) for terms, _ in inputs))
+    loop = _Loop(S, all(_is_binomial_shape(f.ints, S.modulus) for f in inputs))
 
     # install inputs one at a time, reducing each against what is already there
-    for terms, D in inputs:
-        loop.adjoin(terms, D)
+    for f in inputs:
+        loop.adjoin(dict(f.ints), f.den)
 
     def rule_cap_hit() -> bool:
         return cfg.max_rules is not None and len(loop.basis.active) > cfg.max_rules
@@ -276,18 +269,18 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
         if len(comp.overlap.w) > max_degree:
             loop.skipped += 1
             continue
-        out, D = loop.adjoin(*comp.ints())
-        loop.certificates.append(CompositionRecord(comp, (out, D)))
-        if out and rule_cap_hit():
+        residue = loop.adjoin(*comp.ints())
+        loop.certificates.append(CompositionRecord(comp, residue))
+        if residue.ints and rule_cap_hit():
             break
 
     basis = RuleSet()
     basis._over(S.alphabet, S.field)
     for i in () if loop.unit else S.active:
-        basis._install(S._terms(i)[0])
+        basis._install(S[i])
     if loop.unit:
         status = STATUS_UNIT_IDEAL
-        basis._install({(0, ()): 1})  # the rule 1
+        basis._install(NcPolynomial._from_ints(S.alphabet, S.field, {(0, ()): 1}))  # the rule 1
     elif rule_cap_hit():
         status = STATUS_CAPPED_RULES
     # An emptied heap certifies: each final pair's compositions were popped
@@ -305,5 +298,5 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
 
 def is_gs_basis(S: RuleSet, max_degree: int | None = None):
     """(verdict, failing compositions with nonzero residues)."""
-    failures = [rec for rec in walk_compositions(S, max_degree) if rec.residue_ints and rec.residue_ints[0]]
+    failures = [rec for rec in walk_compositions(S, max_degree) if rec.residue and rec.residue.ints]
     return (not failures, failures)

@@ -11,7 +11,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from numbers import Rational
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .words import Alphabet, AlphabetMismatchError, Word, _trusted_word, deglex_key
@@ -100,40 +102,59 @@ def _fp_val(x, p: int) -> int:
     raise TypeError(f"cannot mix {x!r} with GF({p}) elements")
 
 
-def coefficient_field(c):
-    """The field c lies in: ``Fraction`` for Q, else its :func:`prime_field` class."""
-    if isinstance(c, Fraction):
-        return Fraction
+def _numerator(c) -> tuple:
+    """(field, numerator, denominator) of a coefficient; an int lies in Q."""
     if isinstance(c, _PrimeFieldElement):
-        return type(c)
+        return type(c), c.value, 1
+    if isinstance(c, Rational):  # numerator and denominator in lowest terms
+        return Fraction, c.numerator, c.denominator
     raise TypeError(f"coefficient {c!r} is neither a Fraction nor a prime_field element")
 
 
-def _coerce_scalar(c):
-    if isinstance(c, float):
-        raise TypeError("floating point coefficients are forbidden")
-    if isinstance(c, Rational) and not isinstance(c, Fraction):
-        return Fraction(c)
-    return c
+def _join_fields(a, b):
+    """The field terms of fields a and b combine in; None, the zero polynomial's, joins any."""
+    if a is not None and b is not None and a is not b:
+        raise TypeError(f"cannot mix {a.__name__} with {b.__name__} coefficients")
+    return a or b
 
 
 Scalar = Union[Fraction, int, object]
 
 
 class NcPolynomial:
-    """Finite map Word -> nonzero scalar, kept in descending deg-lex order."""
+    """A finite sum of nonzero terms c·w, held in integer form.
 
-    __slots__ = ("alphabet", "terms")
+    ``ints`` maps (len(w), letters of w) to a numerator, in descending deg-lex
+    order, over one denominator ``den`` in lowest terms; over GF(p) the
+    numerators are residues mod p and ``den`` is 1.  ``field`` is Fraction
+    for Q, a :func:`prime_field` class, or None for the zero polynomial.
+    """
+
+    __slots__ = ("alphabet", "field", "ints", "den")
 
     def __init__(self, alphabet: Alphabet, terms: Mapping[Word, Scalar] = ()):
-        cleaned = {}
+        field, parts = None, {}
         for w, c in dict(terms).items():
-            c = _coerce_scalar(c)
-            if c != 0:
-                cleaned[w] = c
-        ordered = sorted(cleaned, key=deglex_key, reverse=True)
-        self.alphabet = alphabet
-        self.terms = {w: cleaned[w] for w in ordered}
+            f, n, d = _numerator(c)
+            if n:
+                field = _join_fields(field, f)
+                parts[deglex_key(w)] = n, d
+        den = lcm(*(d for _, d in parts.values()))
+        self.alphabet, self.field, self.den = alphabet, field, den
+        self.ints = {k: n * (den // d) for k, (n, d) in sorted(parts.items(), reverse=True)}
+
+    @staticmethod
+    def _from_ints(alphabet: Alphabet, field, ints: dict, den: int = 1) -> "NcPolynomial":
+        """The polynomial of numerators ints over den, keyed and ordered as ``ints``
+        is and taken as they are; only den is brought to lowest terms."""
+        if den != 1:
+            g = gcd(den, *ints.values())
+            if g != 1:
+                ints = {k: n // g for k, n in ints.items()}
+                den //= g
+        f = object.__new__(NcPolynomial)
+        f.alphabet, f.field, f.ints, f.den = alphabet, field if ints else None, ints, den
+        return f
 
     # -- constructors -------------------------------------------------
 
@@ -151,81 +172,106 @@ class NcPolynomial:
 
     # -- queries ------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Word, Scalar]:
+        """Word -> coefficient, read-only and in descending deg-lex order, built on each read."""
+        A = self.alphabet
+        return MappingProxyType({_trusted_word(A, w): self._coefficient(n) for (_, w), n in self.ints.items()})
+
+    def _coefficient(self, n: int) -> Scalar:
+        return Fraction(n, self.den) if self.field is Fraction else self.field(n)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     @property
     def degree(self) -> int:
-        if not self.terms:
+        if not self.ints:
             raise ZeroPolynomialError("zero polynomial has no degree")
-        return len(self.leading()[0])
+        return next(iter(self.ints))[0]
 
     def leading(self) -> tuple[Word, Scalar]:
         """The deg-lex-maximal word of the support and its coefficient."""
-        if not self.terms:
+        if not self.ints:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        return next(iter(self.terms.items()))
+        (_, w), n = next(iter(self.ints.items()))
+        return _trusted_word(self.alphabet, w), self._coefficient(n)
 
     def coefficient(self, w: Word) -> Scalar:
-        return self.terms.get(w, 0)
+        n = self.ints.get(deglex_key(w))
+        return 0 if n is None else self._coefficient(n)
 
     # -- arithmetic ---------------------------------------------------
 
-    def _check(self, other: "NcPolynomial") -> None:
+    def _check(self, other: "NcPolynomial"):
+        """The field both polynomials' terms lie in."""
         if self.alphabet != other.alphabet:
             raise AlphabetMismatchError("polynomials over different alphabets")
-        if self.terms and other.terms:
-            c, d = self.leading()[1], other.leading()[1]
-            if type(c) is not type(d):
-                raise TypeError(f"cannot mix {type(c).__name__} with {type(d).__name__} coefficients")
+        return _join_fields(self.field, other.field)
 
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return NcPolynomial(self.alphabet, terms)
+        field = self._check(other)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        ints = {k: n * a for k, n in self.ints.items()}
+        for k, n in other.ints.items():
+            ints[k] = ints.get(k, 0) + n * b
+        return NcPolynomial._from_ints(self.alphabet, field, _ordered(ints, field), den)
 
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "NcPolynomial":
-        return NcPolynomial(self.alphabet, {w: -c for w, c in self.terms.items()})
+        ints = _ordered({k: -n for k, n in self.ints.items()}, self.field)
+        return NcPolynomial._from_ints(self.alphabet, self.field, ints, self.den)
 
     def __mul__(self, other) -> "NcPolynomial":
         if not isinstance(other, NcPolynomial):
             return self.scale(other)
-        self._check(other)
-        terms: dict[Word, Scalar] = {}
-        for u, a in self.terms.items():
-            for v, b in other.terms.items():
-                w = u * v
-                terms[w] = terms.get(w, 0) + a * b
-        return NcPolynomial(self.alphabet, terms)
-
-    def __rmul__(self, other) -> "NcPolynomial":
-        return self.scale(other)
+        field = self._check(other)
+        ints: dict = {}
+        for (i, u), a in self.ints.items():
+            for (j, v), b in other.ints.items():
+                k = (i + j, u + v)
+                ints[k] = ints.get(k, 0) + a * b
+        return NcPolynomial._from_ints(self.alphabet, field, _ordered(ints, field), self.den * other.den)
 
     def scale(self, c: Scalar) -> "NcPolynomial":
-        c = _coerce_scalar(c)
-        return NcPolynomial(self.alphabet, {w: a * c for w, a in self.terms.items()})
+        """c times self, for c in self's field (an int lies in Q)."""
+        field, num, den = _numerator(c)
+        field = _join_fields(self.field, field)
+        ints = _ordered({k: n * num for k, n in self.ints.items()}, field)
+        return NcPolynomial._from_ints(self.alphabet, field, ints, self.den * den)
+
+    __rmul__ = scale
 
     def monic(self) -> "NcPolynomial":
-        """Divide by the leading coefficient."""
-        _, lc = self.leading()
-        if lc == 1:
+        """Divide by the leading coefficient, on ints: over Q the numerators, signed
+        to make the lead positive, go over the lead's magnitude, and lowest terms
+        leave their primitive part; over GF(p) the residues times the lead's inverse."""
+        if not self.ints:
+            raise ZeroPolynomialError("zero polynomial has no leading term")
+        lc = next(iter(self.ints.values()))
+        if lc == self.den:
             return self
-        return NcPolynomial(self.alphabet, {w: c / lc for w, c in self.terms.items()})
+        if self.field is Fraction:
+            k, den = (1, lc) if lc > 0 else (-1, -lc)
+        else:
+            k, den = pow(lc, -1, self.field.modulus), 1
+        ints = _ordered({key: n * k for key, n in self.ints.items()}, self.field)
+        return NcPolynomial._from_ints(self.alphabet, self.field, ints, den)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NcPolynomial)
             and self.alphabet == other.alphabet
-            and self.terms == other.terms
+            and self.field is other.field
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        return hash((self.alphabet, tuple(self.terms.items())))
+        return hash((self.alphabet, self.den, tuple(self.ints.items())))
 
     def __str__(self) -> str:
         return render_poly(self)
@@ -234,11 +280,21 @@ class NcPolynomial:
         return f"NcPolynomial({render_poly(self)})"
 
 
+def _ordered(ints: dict, field) -> dict:
+    """The nonzero numerators of ints, as residues mod p over GF(p), in descending key order."""
+    p = getattr(field, "modulus", 0)
+    if p:
+        ints = {k: n % p for k, n in ints.items()}
+    return {k: n for k, n in sorted(ints.items(), reverse=True) if n}
+
+
 def mul_bounded(a: Word, f: NcPolynomial, b: Word) -> NcPolynomial:
     """a·f·b; by admissibility the leading word is a·leading(f)·b."""
     if a.alphabet != f.alphabet or b.alphabet != f.alphabet:
         raise AlphabetMismatchError("mismatched alphabets in bounded product")
-    return NcPolynomial(f.alphabet, {a * w * b: c for w, c in f.terms.items()})
+    n, x, y = len(a) + len(b), a.letters, b.letters
+    ints = {(i + n, x + u + y): c for (i, u), c in f.ints.items()}
+    return NcPolynomial._from_ints(f.alphabet, f.field, ints, f.den)
 
 
 # ---------------------------------------------------------------------------
@@ -400,28 +456,13 @@ def parse_poly(text: str, alphabet: Alphabet, field=Fraction) -> NcPolynomial:
 
 def render_poly(f: NcPolynomial) -> str:
     """Inverse of parse_poly; canonical descending term order."""
-    if f.is_zero():
+    out = ""
+    for (_, w), n in f.ints.items():
+        neg = f.field is Fraction and n < 0  # over GF(p) no coefficient is negative
+        c = f._coefficient(-n if neg else n)
+        names = "*".join(f.alphabet.symbols[x] for x in w)
+        body = str(c) if not w else names if c == 1 else f"{c}*{names}"
+        out += f" {'-' if neg else '+'} {body}"
+    if not out:
         return "0"
-    pieces = []
-    for w, c in f.terms.items():
-        neg = _is_negative(c)
-        mag = -c if neg else c
-        if len(w) == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(w.names())
-        else:
-            body = str(mag) + "*" + "*".join(w.names())
-        pieces.append(("-" if neg else "+", body))
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for s, body in pieces[1:]:
-        out += f" {s} {body}"
-    return out
-
-
-def _is_negative(c) -> bool:
-    try:
-        return c < 0
-    except TypeError:
-        return False
+    return out[3:] if out.startswith(" +") else "-" + out[3:]

@@ -101,8 +101,6 @@ def _word_src(w: Word) -> str:
 
 
 def _render_linear(alphabet: Alphabet, combo: dict[int, Fraction]) -> str:
-    if not combo:
-        return "0"
     terms = {Word(alphabet, (t,)): c for t, c in combo.items()}
     return str(NcPolynomial(alphabet, terms))
 
@@ -138,6 +136,8 @@ def parse_presentation(text: str) -> Presentation:
                 raise PresentationError("duplicate 'generators:' header", lineno)
             generators = line.split(":", 1)[1].split()
             gen_line = lineno
+            if not generators:
+                raise PresentationError("'generators:' header lists no generators", lineno)
             if "1" in generators:
                 raise PresentationError("'1' is the empty word, not a generator name", lineno)
             in_relations = False
@@ -152,7 +152,7 @@ def parse_presentation(text: str) -> Presentation:
             raise PresentationError(f"unexpected line {line!r}", lineno)
     if kind is None:
         raise PresentationError("missing 'kind:' header")
-    if not generators:
+    if gen_line is None:
         raise PresentationError("missing 'generators:' header")
     for g in generators:
         # polynomials spell a generator as one NAME token, words split at '='
@@ -258,7 +258,7 @@ def complete_presentation(
     if not rels:
         # no effective relations: the free algebra, already complete
         basis = RuleSet()
-        basis.alphabet = p.alphabet
+        basis._over(p.alphabet, None)
         return CompletionResult(basis, STATUS_COMPLETE, [])
     return shirshov_complete(rels, cfg)
 

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import os
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .ncpoly import NcPolynomial, coefficient_field
-from .words import Alphabet, AlphabetMismatchError, Word, _trusted_word, deglex_key
+from .ncpoly import NcPolynomial, _join_fields
+from .words import Alphabet, AlphabetMismatchError, Word, _trusted_word
 
 DEFAULT_MAX_STEPS = 10**7
 
@@ -30,12 +29,13 @@ def _max_steps() -> int:
 
 
 class RuleSet:
-    """An ordered set of monic rewrite rules s, read as s_lead -> s_lead - s, each
-    stored once, in integer form; ``S[i]`` and iteration render polynomials."""
+    """An ordered set of monic rewrite rules s, read as s_lead -> s_lead - s:
+    ``S[i]`` is rule i, ``leads`` and ``tails`` its parts as the kernels read them."""
 
     def __init__(self, rules=()):
+        self.rules: list[NcPolynomial] = []
         self.leads: list[tuple[int, ...]] = []
-        # per rule, (L, (u, ...), (n, ...)): L times the rule is L·lead + sum n·u
+        # per rule, (L, (u, ...), (n, ...)): the rule is (L·lead + sum n·u)/L
         # in ints, u running over the tail's letters (over GF(p), L is 1)
         self.tails: list[tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]] = []
         self.active: dict[int, None] = {}  # active rule indices, in ascending order
@@ -43,6 +43,7 @@ class RuleSet:
         self.alphabet: Alphabet | None = None
         self.field = None  # Fraction for Q, else the prime_field class; set by the first add
         self.modulus = 0  # p over GF(p), 0 over Q
+        self.zero = None  # the zero polynomial over alphabet, which every zero residue is
         for r in rules:
             self.add(r)
 
@@ -50,51 +51,38 @@ class RuleSet:
         return len(self.leads)
 
     def __getitem__(self, i: int) -> NcPolynomial:
-        return _field_poly(self, *self._terms(i))
-
-    def _terms(self, i: int) -> tuple[dict, int]:
-        """(terms, L): rule i as numerators over L, as ``_reduce_ints`` takes it."""
-        (L, us, ns), lead = self.tails[i], self.leads[i]
-        return {(len(u), u): n for u, n in zip((lead,) + us, (L,) + ns)}, L
+        return self.rules[i]
 
     def _over(self, alphabet: Alphabet, field) -> None:
         self.alphabet, self.field = alphabet, field
-        self.modulus = 0 if field is Fraction else field.modulus
+        self.modulus = getattr(field, "modulus", 0)
+        self.zero = NcPolynomial._from_ints(alphabet, None, {})
 
-    def _install(self, terms: dict) -> int:
-        """Store the monic multiple of the sum of n·w over terms, keyed (len(w), w) in
-        descending order over any denominator, as an active rule: over Q the ints'
-        primitive part with a positive lead, over GF(p) the ints times 1/lead."""
-        ns = list(terms.values())
-        if self.modulus:
-            inv = pow(ns[0], -1, self.modulus)
-            ns = [n * inv % self.modulus for n in ns]
-        else:
-            g = gcd(*ns) if ns[0] > 0 else -gcd(*ns)
-            ns = [n // g for n in ns]
-        (_, lead), *tail = terms
+    def _install(self, f: NcPolynomial) -> int:
+        """Store the monic multiple of a nonzero polynomial of the set's as an active rule."""
+        rule = f.monic()
+        (_, lead), *tail = rule.ints
         idx = len(self.leads)
+        self.rules.append(rule)
         self.leads.append(lead)
-        self.tails.append((ns[0], tuple(u for _, u in tail), tuple(ns[1:])))
+        self.tails.append((rule.den, tuple(u for _, u in tail), tuple(rule.ints.values())[1:]))
         self.active[idx] = None
         self._automaton_cache = None
         return idx
 
-    def _admit(self, relation: NcPolynomial) -> tuple[dict, int]:
-        """The one gate for relations: a nonzero polynomial's ``_int_terms``.  The
-        first fixes the set's alphabet and field, every later one must match them."""
+    def _admit(self, relation: NcPolynomial) -> NcPolynomial:
+        """The one gate for relations: the first fixes the set's alphabet and
+        field, every later one must match them."""
         if relation.is_zero():
             raise ValueError("zero polynomial is not a relation")
         if self.alphabet is not None and relation.alphabet != self.alphabet:
             raise AlphabetMismatchError("relations over different alphabets")
-        field = self.field or coefficient_field(relation.leading()[1])
-        out = _int_terms(relation, field)
-        self._over(relation.alphabet, field)
-        return out
+        self._over(relation.alphabet, _join_fields(self.field, relation.field))
+        return relation
 
     def add(self, rule: NcPolynomial) -> int:
         """Install any nonzero polynomial as its monic multiple."""
-        return self._install(self._admit(rule)[0])
+        return self._install(self._admit(rule))
 
     def query_alphabet(self, alphabet: Alphabet | None = None) -> Alphabet:
         """The alphabet a query over this basis answers in.
@@ -186,24 +174,6 @@ class RuleSet:
         return rule[s] >= 0
 
 
-def _check_field(c, field) -> None:
-    if type(c) is not field and coefficient_field(c) is not field:
-        name = "Q" if field is Fraction else field.__name__
-        raise TypeError(f"cannot mix {c!r} with {name} coefficients")
-
-
-def _int_terms(f: NcPolynomial, field) -> tuple[dict, int]:
-    """(terms, D): f as numerators over D, keyed (len(w), w) in f's order, as
-    ``_reduce_ints`` takes it.  Over Q, D is the lcm of the denominators; over
-    GF(p), the residues over 1.  A coefficient of another field raises TypeError."""
-    for c in f.terms.values():
-        _check_field(c, field)
-    if field is not Fraction:
-        return {deglex_key(w): c.value for w, c in f.terms.items()}, 1
-    D = lcm(*(c.denominator for c in f.terms.values()))
-    return {deglex_key(w): c.numerator * (D // c.denominator) for w, c in f.terms.items()}, D
-
-
 def _rewrite(S: RuleSet, terms: dict, D: int, c: int, a: tuple, b: tuple, r: int) -> int:
     """One rewrite step: c/D·a·lead_r·b, popped from terms, becomes c/D·a·(lead_r - rule r)·b.
 
@@ -261,10 +231,10 @@ def _reduce_ints(S: RuleSet, terms: dict, D: int):
     return out, D, steps
 
 
-def _field_poly(S: RuleSet, terms: dict, D: int) -> NcPolynomial:
-    """The sum of n/D·w over terms, in S's field."""
-    return NcPolynomial(S.alphabet, {_trusted_word(S.alphabet, w): S.field(n) if S.modulus else Fraction(n, D)
-                                     for (_, w), n in terms.items()})
+def _residue(S: RuleSet, terms: dict, D: int) -> tuple[NcPolynomial, int]:
+    """(residue, steps): ``_reduce_ints`` of terms over D, as a polynomial over S's field."""
+    out, D, steps = _reduce_ints(S, terms, D)
+    return (NcPolynomial._from_ints(S.alphabet, S.field, out, D) if out else S.zero), steps
 
 
 def reduce_with_steps(f: NcPolynomial, S: RuleSet):
@@ -273,19 +243,14 @@ def reduce_with_steps(f: NcPolynomial, S: RuleSet):
     Strategy: rewrite the deg-lex-greatest reducible word of the support at
     ``S.leftmost_match``, the leftmost match in every completion basis; with
     a nested lead the remainder may differ, a GS-basis verdict cannot.  An
-    irreducible f is returned as is, any other goes to ``_reduce_ints`` in
-    integer form and is rendered from its output.
+    irreducible f is returned as is, any other goes to ``_reduce_ints``.
     """
     S.query_alphabet(f.alphabet)
-    reducible = False
-    for w, c in f.terms.items():
-        if S.field is not None:
-            _check_field(c, S.field)
-        reducible = reducible or S.leftmost_match(w.letters) is not None
-    if not reducible:
-        return f, 0
-    out, D, steps = _reduce_ints(S, *_int_terms(f, S.field))
-    return _field_poly(S, out, D), steps
+    _join_fields(S.field, f.field)
+    for _, w in f.ints:
+        if S.leftmost_match(w) is not None:
+            return _residue(S, dict(f.ints), f.den)
+    return f, 0
 
 
 def reduce(f: NcPolynomial, S: RuleSet) -> NcPolynomial:

@@ -376,3 +376,44 @@ def reference_algebra_relations(p):
             rels.append(NcPolynomial.monomial(x * xi) - one)
             rels.append(NcPolynomial.monomial(xi * x) - one)
     return [f.monic() for f in rels if not f.is_zero()]
+
+
+class DictPoly:
+    """Reference polynomial arithmetic on a plain {letters: coefficient} dict,
+    in the coefficients' own field arithmetic, with no integer form and no
+    term order."""
+
+    def __init__(self, alphabet: Alphabet, terms: dict):
+        self.alphabet = alphabet
+        self.terms = {w: c for w, c in terms.items() if c != 0}
+
+    @staticmethod
+    def of(f: NcPolynomial) -> "DictPoly":
+        return DictPoly(f.alphabet, {w.letters: c for w, c in f.terms.items()})
+
+    def __add__(self, other: "DictPoly") -> "DictPoly":
+        terms = dict(self.terms)
+        for w, c in other.terms.items():
+            terms[w] = terms.get(w, 0) + c
+        return DictPoly(self.alphabet, terms)
+
+    def __sub__(self, other: "DictPoly") -> "DictPoly":
+        return self + other.scale(-1)
+
+    def __mul__(self, other: "DictPoly") -> "DictPoly":
+        terms: dict = {}
+        for u, a in self.terms.items():
+            for v, b in other.terms.items():
+                terms[u + v] = terms.get(u + v, 0) + a * b
+        return DictPoly(self.alphabet, terms)
+
+    def scale(self, c) -> "DictPoly":
+        return DictPoly(self.alphabet, {w: a * c for w, a in self.terms.items()})
+
+    def monic(self) -> "DictPoly":
+        """Every coefficient over the one of the deg-lex greatest word."""
+        lc = self.terms[max(self.terms, key=lambda w: (len(w), w))]
+        return DictPoly(self.alphabet, {w: c / lc for w, c in self.terms.items()})
+
+    def poly(self) -> NcPolynomial:
+        return NcPolynomial(self.alphabet, {Word(self.alphabet, w): c for w, c in self.terms.items()})

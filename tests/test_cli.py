@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from shirshov import NcPolynomial, catalog, cli, complete_presentation, parse_presentation, to_algebra_relations
+from shirshov import NcPolynomial, RuleSet, catalog, cli, complete_presentation, parse_presentation, to_algebra_relations
+from shirshov import words
 from shirshov.cli import run
+from shirshov.complete import Composition
 from shirshov.present import CATALOG_NAMES
 
 from test_present import PARSE_ERRORS
@@ -142,19 +145,27 @@ class TestCheck:
 
     @pytest.mark.parametrize("src, failures", [(catalog("sl2").source(), 0), (NG_SRC, 1)], ids=["yes", "no"])
     def test_only_printed_residues_are_rendered(self, capsys, monkeypatch, write, src, failures):
-        # check builds the input relations, then one polynomial per failure it prints
-        built = []
-        init = NcPolynomial.__init__
+        # check builds the input relations, then for each failure it prints its
+        # w and the two coefficients of z*z - x*x: a residue stays numerators
+        # until read, and _coefficient is where a numerator becomes a field
+        # element
+        built = Counter()
+        set_letters, coefficient = words._set_letters, NcPolynomial._coefficient
 
-        def counting_init(self, *args, **kwargs):
-            built.append(None)
-            init(self, *args, **kwargs)
+        def counting_set_letters(w, letters):
+            built["Word"] += 1
+            set_letters(w, letters)
 
-        monkeypatch.setattr(NcPolynomial, "__init__", counting_init)
+        def counting_coefficient(f, n):
+            built["coefficient"] += 1
+            return coefficient(f, n)
+
+        monkeypatch.setattr(words, "_set_letters", counting_set_letters)
+        monkeypatch.setattr(NcPolynomial, "_coefficient", counting_coefficient)
         to_algebra_relations(parse_presentation(src))
-        inputs = len(built)
+        inputs = Counter(built)
         assert run(["check", write("in.gs", src)]) == (1 if failures else 0)
-        assert len(built) - inputs == inputs + failures
+        assert built - inputs - inputs == Counter({"Word": failures, "coefficient": 2 * failures})
         assert capsys.readouterr().out.count("residue") == failures
 
 
@@ -196,6 +207,24 @@ class TestComplete:
             assert code == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("name", ["chinese-3", "sl2"])
+    def test_plain_output_reads_no_certificate(self, capsys, monkeypatch, catalog_file, name):
+        # plain complete prints the status and the basis of complete --json,
+        # and builds no composition value to do it
+        path = catalog_file(name)
+        assert run(["complete", path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certificates"]
+
+        def refuse(self):
+            raise AssertionError("plain complete read a composition value")
+
+        monkeypatch.setattr(Composition, "value", property(refuse))
+        assert run(["complete", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"status: {doc['status']}", *(f"  {e['poly']}" for e in doc["basis"])
+        ]
 
 
 class TestIrr:
@@ -263,8 +292,17 @@ class TestRelationsWithoutArithmetic:
         def refuse(*args, **kwargs):
             raise AssertionError("polynomial arithmetic on the way to the rule store")
 
-        for attr in ("__add__", "__sub__", "__neg__", "__mul__", "scale", "monic"):
+        monic = NcPolynomial.monic
+
+        def monic_in_install(f):
+            # the install's own monic, on ints; nothing else makes a relation monic
+            if sys._getframe(1).f_code is not RuleSet._install.__code__:
+                refuse()
+            return monic(f)
+
+        for attr in ("__add__", "__sub__", "__neg__", "__mul__", "scale"):
             monkeypatch.setattr(NcPolynomial, attr, refuse)
+        monkeypatch.setattr(NcPolynomial, "monic", monic_in_install)
         assert complete_presentation(parse_presentation(src)).status in ("complete", "capped_degree")
         assert run(["complete", path, "--json"]) in (0, 3)
         assert run(["check", path]) in (0, 1)

@@ -35,9 +35,15 @@ from shirshov.complete import (
     walk_compositions,
 )
 from shirshov.present import CATALOG_NAMES
-from shirshov.rewrite import _field_poly, _int_terms, _reduce_ints
+from shirshov.rewrite import _reduce_ints
 
-from oracles import nested_lead, random_ideal_element, reference_compositions, reference_reduce_with_steps
+from oracles import (
+    DictPoly,
+    nested_lead,
+    random_ideal_element,
+    reference_compositions,
+    reference_reduce_with_steps,
+)
 from test_golden import CASES as GOLDEN_CASES, EXTRA_SOURCES, _source as golden_source
 
 FEH = Alphabet(("f", "e", "h"))
@@ -113,7 +119,7 @@ def reduce_steps(monkeypatch):
         steps.append(n)
         return out, D, n
 
-    monkeypatch.setattr(complete, "_reduce_ints", counting)
+    monkeypatch.setattr(rewrite, "_reduce_ints", counting)
     return steps
 
 
@@ -200,7 +206,8 @@ class TestCompositionsAgainstReference:
                     terms, D0 = c.ints()
                     out, D, steps = _reduce_ints(S, terms, D0)
                     assert list(out) == sorted(out, reverse=True)
-                    assert (_field_poly(S, out, D), steps) == reference_reduce_with_steps(c.value, S)
+                    residue = NcPolynomial._from_ints(S.alphabet, S.field, out, D)
+                    assert (residue, steps) == reference_reduce_with_steps(c.value, S)
                     rescaled += len(out) > 1 and D > D0  # D grew in a reduction with several words out
         if field is Fraction:
             assert scaled > 50 and rescaled > 50
@@ -220,11 +227,20 @@ class TestCompositionsAgainstReference:
             lead = f.leading()[0].letters if trial % 3 == 0 else None
             pairs.append(RuleSet([f, _random_rule(rng, XYZ, Fraction, lead=lead)]))
         built = []
-        init = NcPolynomial.__init__
+        init, from_ints, coefficient = NcPolynomial.__init__, NcPolynomial._from_ints, NcPolynomial._coefficient
 
         def counting_init(self, *args, **kwargs):
             built.append("NcPolynomial")
             init(self, *args, **kwargs)
+
+        def counting_from_ints(*args):
+            built.append("NcPolynomial")
+            return from_ints(*args)
+
+        def counting_coefficient(f, n):
+            # where a numerator becomes a field element
+            built.append("coefficient")
+            return coefficient(f, n)
 
         set_letters = words._set_letters
 
@@ -235,6 +251,8 @@ class TestCompositionsAgainstReference:
             set_letters(w, letters)
 
         monkeypatch.setattr(NcPolynomial, "__init__", counting_init)
+        monkeypatch.setattr(NcPolynomial, "_from_ints", staticmethod(counting_from_ints))
+        monkeypatch.setattr(NcPolynomial, "_coefficient", counting_coefficient)
         monkeypatch.setattr(words, "_set_letters", counting_set_letters)
         comps = [
             c
@@ -246,12 +264,14 @@ class TestCompositionsAgainstReference:
         assert built == []
         walked = list(walk_compositions(S, 2))
         assert {rec.composition.overlap.kind for rec in walked} == {"intersection", "inclusion"}
-        assert all(rec.residue_ints is None and rec.residue is None for rec in walked)
+        assert all(rec.residue is None for rec in walked)
         assert reduce_steps == []  # nothing reduced
         assert is_gs_basis(S, 2) == (True, [])
         assert built == []
-        assert walked[0].composition.value is not None
-        assert set(built) == {"NcPolynomial", "Word"}
+        value = walked[0].composition.value
+        assert built == ["NcPolynomial"]  # numerators, until its terms are read
+        assert value.terms
+        assert set(built) == {"NcPolynomial", "Word", "coefficient"}
         built.clear()
         Word(XYZ, (0,))
         words._trusted_word(XYZ, (0,))
@@ -444,7 +464,7 @@ def _assert_drain_certified(res, cap):
     basis's over-cap count, and every composition within the cap is trivial."""
     if res.status in (STATUS_COMPLETE, STATUS_CAPPED_DEGREE):
         walked = walk_compositions(res.basis, cap)
-        assert res.stats["compositions_skipped"] == sum(rec.residue_ints is None for rec in walked)
+        assert res.stats["compositions_skipped"] == sum(rec.residue is None for rec in walked)
         assert is_gs_basis(res.basis, cap) == (True, [])
 
 
@@ -496,7 +516,7 @@ class TestNoNestedActiveLeads:
             return _reduce_ints(S, terms, D)
 
         # completion reduces its inputs, retired rules and compositions all here
-        monkeypatch.setattr(complete, "_reduce_ints", watched)
+        monkeypatch.setattr(rewrite, "_reduce_ints", watched)
         return calls
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -535,11 +555,11 @@ class TestRetirement:
         log = []  # one (rule set, expected, retired) entry per add_rule call
         add_rule, retire = complete._Loop.add_rule, RuleSet.retire
 
-        def watched_add_rule(self, terms):
-            (_, lead), *_ = terms  # the residue's deg-lex-greatest word
+        def watched_add_rule(self, residue):
+            (_, lead), *_ = residue.ints  # the residue's deg-lex-greatest word
             active = self.basis.active if lead else ()  # an empty lead ends the run
             log.append((self.basis, [i for i in active if _properly_contains(self.basis.leads[i], lead)], []))
-            add_rule(self, terms)
+            add_rule(self, residue)
 
         def watched_retire(self, idx):
             basis, _, retired = log[-1]  # add_rule retires before it requeues
@@ -580,7 +600,7 @@ class TestRetirement:
         basis._over(BA, Fraction)
         loop = complete._Loop(basis, enforce_binomial=False)
         for text in ("b*a - a", "b*a - 1", "b*b*a - b", "b - 1"):
-            loop.add_rule(_int_terms(parse_poly(text, BA), Fraction)[0])
+            loop.add_rule(parse_poly(text, BA))
         assert [expected for _, expected, _ in adds[:4]] == [[], [], [], [0, 1, 2]]
         self._retiring_adds(adds)
 
@@ -637,7 +657,7 @@ def _fractional_rule(rng, alphabet, field):
 
 
 class TestIntegerResidues:
-    """is_gs_basis keeps each residue as ints over D and renders it only when
+    """is_gs_basis keeps each residue as ints over D, its terms built only when
     read: its failures must be, in walk order, the compositions whose value the
     polynomial reference reduction (same match rule, nested leads or not) takes
     to a nonzero residue, with that residue."""
@@ -659,7 +679,7 @@ class TestIntegerResidues:
             assert ok == (not want)
             assert [(rec.composition, rec.residue) for rec in failures] == want
             seen["failing sets"] += not ok
-            seen["D > 1"] += sum(rec.residue_ints[1] > 1 for rec in failures)
+            seen["D > 1"] += sum(rec.residue.den > 1 for rec in failures)
         assert seen["failing sets"] > 80, seen
         if field is Fraction:
             assert seen["D > 1"] > 100, seen
@@ -726,8 +746,9 @@ def _algebra_benchmark_sets():
 
 class TestPolynomialsAtTheBoundary:
     """Completion and is_gs_basis keep rules and residues in integer form: they
-    build no polynomial, and never call reduce_with_steps, monic() or
-    RuleSet.add.  A residue is rendered only when read."""
+    build no Word and no field element, never call the public constructor,
+    reduce_with_steps or RuleSet.add, and call monic() only as the install's
+    own step.  A residue's words and coefficients are built only when read."""
 
     def test_only_certificates_build_polynomials(self, monkeypatch):
         sets = _algebra_benchmark_sets()
@@ -739,31 +760,39 @@ class TestPolynomialsAtTheBoundary:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def count_words_and_coefficients():
+            monkeypatch.setattr(words, "_set_letters", counted("Word", words._set_letters))
+            monkeypatch.setattr(NcPolynomial, "_coefficient", counted("coefficient", NcPolynomial._coefficient))
+
+        count_words_and_coefficients()
         monkeypatch.setattr(NcPolynomial, "__init__", counted("NcPolynomial", NcPolynomial.__init__))
         monkeypatch.setattr(NcPolynomial, "monic", counted("monic", NcPolynomial.monic))
+        monkeypatch.setattr(RuleSet, "_install", counted("install", RuleSet._install))
         monkeypatch.setattr(RuleSet, "add", counted("add", RuleSet.add))
         for module in (rewrite, complete):
             if hasattr(module, "reduce_with_steps"):
                 monkeypatch.setattr(module, "reduce_with_steps", counted("reduce_with_steps", rewrite.reduce_with_steps))
-        certificates, bases = 0, []
+        certificates, bases = [], []
         for rels in sets:
             res = shirshov_complete(rels, CompletionConfig(max_degree=8))
-            certificates += len(res.certificates)
+            certificates += res.certificates
             bases.append(res.basis)
-        assert certificates == 618
+        assert len(certificates) == 618
+        assert calls.pop("monic") == calls.pop("install") > 0
         assert calls == {}
         walked = 0
         for basis in bases:
             assert is_gs_basis(basis, 8) == (True, [])
-            walked += sum(rec.residue_ints is not None for rec in walk_compositions(basis, 8))
+            walked += sum(rec.residue is not None for rec in walk_compositions(basis, 8))
         assert calls == {}
         monkeypatch.undo()
         assert walked == 600
-        # reading a residue renders it: one polynomial per read
-        monkeypatch.setattr(NcPolynomial, "__init__", counted("NcPolynomial", NcPolynomial.__init__))
-        rec = res.certificates[-1]
-        assert rec.residue == rec.residue
-        assert calls == {"NcPolynomial": 2}
+        # reading a residue's terms builds its words and coefficients, on each read
+        count_words_and_coefficients()
+        residue = next(rec.residue for rec in certificates if not rec.residue.is_zero())
+        assert residue.terms == residue.terms
+        n = 2 * len(residue.ints)
+        assert calls == {"Word": n, "coefficient": n}
 
 
 def _non_monic(rng, field):
@@ -781,8 +810,9 @@ def _non_monic(rng, field):
 class TestIntegerMonic:
     """Completion makes a residue monic on ints: over Q its primitive part with
     a positive lead, over GF(p) the residues times the lead's inverse.  The
-    rule it installs must be RuleSet([f.monic()])'s, whatever the residue's
-    denominator, and render back to f.monic()."""
+    rule it installs must be the RuleSet of f made monic by the dict-of-
+    coefficients oracle, whatever the residue's denominator, and be that
+    polynomial."""
 
     @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
     def test_installed_rule_is_the_polynomial_monic(self, field):
@@ -790,11 +820,12 @@ class TestIntegerMonic:
         seen = Counter()
         for _ in range(300):
             f = _non_monic(rng, field)
-            want = RuleSet([f.monic()])
+            monic = DictPoly.of(f).monic().poly()
+            want = RuleSet([monic])
             basis = RuleSet()
             basis._over(XYZ, field)
             loop = complete._Loop(basis, enforce_binomial=False)
-            terms, D = _int_terms(f, field)
+            terms, D = f.ints, f.den
             lc = f.leading()[1]
             seen["lead not 1"] += lc != 1
             seen["L > 1"] += want.tails[0][0] > 1
@@ -802,12 +833,11 @@ class TestIntegerMonic:
                 seen["negative lead"] += lc < 0
                 seen["content > 1"] += gcd(*terms.values()) > 1
             loop.adjoin(dict(terms), D)  # an input's path into completion
-            # the same numerators over another denominator, with another content and sign
-            k = rng.choice((-6, -2, 3, 5))
-            loop.add_rule({key: n * k for key, n in terms.items()})
+            # the same words with another content and sign
+            loop.add_rule(f.scale(field(rng.choice((-6, -2, 3, 5)))))
             for i in (0, 1):
                 assert (basis.leads[i], basis.tails[i]) == (want.leads[0], want.tails[0])
-                assert basis[i] == f.monic()
+                assert basis[i] == monic
         assert seen["lead not 1"] > 200, seen
         if field is Fraction:
             assert min(seen.values()) > 50, seen
@@ -822,6 +852,6 @@ class TestIntegerMonic:
         for _ in range(300):
             f = _non_monic(rng, field)
             not_monic += f.leading()[1] != 1
-            got, want = RuleSet([f]), RuleSet([f.monic()])
+            got, want = RuleSet([f]), RuleSet([DictPoly.of(f).monic().poly()])
             assert (got.leads, got.tails, got[0]) == (want.leads, want.tails, want[0])
         assert not_monic > 200

@@ -1,5 +1,6 @@
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,9 @@ from shirshov import (
     prime_field,
 )
 from shirshov.ncpoly import PolyParseError, ZeroPolynomialError
+from shirshov.words import deglex_key
+
+from oracles import DictPoly
 
 AB = Alphabet(("x", "y"))
 FEH = Alphabet(("e", "f", "h"))
@@ -250,3 +254,60 @@ class TestPrimeField:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             prime_field(6)
+
+
+def field_poly(rng, field, max_terms=5):
+    """A random polynomial over x y of degree <= 3 with coefficients n/d in field."""
+    terms = {}
+    for _ in range(rng.randrange(max_terms + 1)):
+        w = Word(AB, tuple(rng.randrange(2) for _ in range(rng.randrange(4))))
+        terms[w] = field(rng.randint(-6, 6)) / field(rng.randint(1, 6))
+    return NcPolynomial(AB, terms)
+
+
+class TestIntegerForm:
+    """A polynomial holds numerators over one denominator in lowest terms.  Its
+    terms must read back to it, and +, -, *, scale and monic must agree with
+    the dict-of-coefficients oracle, in the field's arithmetic."""
+
+    @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
+    def test_agrees_with_the_dict_oracle(self, field):
+        rng = random.Random(7211)
+        seen = Counter()
+        for _ in range(400):
+            f, g = field_poly(rng, field), field_poly(rng, field)
+            if rng.random() < 0.2:
+                g = g - f  # so that f + g cancels f's terms
+            c = field(rng.randint(-6, 6)) / field(rng.randint(1, 6))
+            F, G = DictPoly.of(f), DictPoly.of(g)
+            cases = [(f, F), (f + g, F + G), (f - g, F - G), (f * g, F * G), (f.scale(c), F.scale(c))]
+            if not f.is_zero():
+                cases.append((f.monic(), F.monic()))
+            for got, want in cases:
+                assert {w.letters: x for w, x in got.terms.items()} == want.terms
+                assert list(got.terms) == sorted(got.terms, key=deglex_key, reverse=True)
+                assert all(type(x) is field for x in got.terms.values())
+                assert NcPolynomial(AB, got.terms) == got == want.poly()
+                seen["den > 1"] += got.den > 1
+            seen["cancelled"] += len((f + g).ints) < len(set(f.ints) | set(g.ints))
+            seen["zero scale"] += c == 0
+        assert seen["cancelled"] > 50 and seen["zero scale"] > 10, seen
+        if field is Fraction:
+            assert seen["den > 1"] > 1000, seen
+        else:
+            assert seen["den > 1"] == 0, seen
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(Fraction(1), prime_field(7)(2)), (prime_field(7)(2), 1), (prime_field(5)(1), prime_field(7)(1))],
+        ids=["Q-GF7", "GF7-int", "GF5-GF7"],
+    )
+    def test_mixed_fields_are_refused(self, first, second):
+        with pytest.raises(TypeError, match="cannot mix"):
+            NcPolynomial(AB, {AB.word("x y"): first, AB.word("x"): second})
+
+    def test_terms_are_read_only(self):
+        f = P("x*y - 1/2")
+        with pytest.raises(TypeError):
+            f.terms[AB.word("x")] = Fraction(1)
+        assert f == P("x*y - 1/2")

@@ -50,7 +50,8 @@ PARSE_ERRORS = [
     pytest.param("generators: a\nrelations:\n  a = a\n", None, "missing 'kind:' header", id="no-kind"),
     pytest.param("kind: monoid\nrelations:\n  a = a\n", None, "missing 'generators:' header", id="no-generators"),
     pytest.param(
-        "kind: monoid\ngenerators:\nrelations:\n", None, "missing 'generators:' header", id="empty-generators"
+        "kind: monoid\ngenerators:\nrelations:\n", 2, "'generators:' header lists no generators",
+        id="empty-generators",
     ),
     pytest.param(
         "kind: monoid\ngenerators: a\nrelations: a = a\n", 3, "relations must follow on their own lines",

@@ -413,17 +413,19 @@ class TestFieldGuard:
 
     def test_reduce_checks_the_words_above_the_first_reducible_one(self):
         # x*x*x and x*x are irreducible; only y reduces, and the GF(7)
-        # coefficient above it must not pass through into a Q result
-        f = NcPolynomial(AB, {AB.word("x x x"): 1, AB.word("x x"): GF7(3), AB.word("y"): 1})
+        # coefficient above it must not pass through into a Q result: the
+        # polynomial that mixes them is refused when it is built
         with pytest.raises(TypeError, match="cannot mix"):
+            f = NcPolynomial(AB, {AB.word("x x x"): 1, AB.word("x x"): GF7(3), AB.word("y"): 1})
             reduce(f, RuleSet([parse_poly("y - x", AB)]))
 
     @pytest.mark.parametrize("lead", ["x y", "y y x"], ids=["irreducible", "reducible"])
     def test_reduce_checks_every_coefficient(self, lead):
         # the GF(7) coefficient below a Q lead is caught before the
-        # irreducible fast path, not only on the way into a reduction
-        f = NcPolynomial(AB, {AB.word(lead): Fraction(1), AB.word("x"): GF7(2)})
+        # irreducible fast path, not only on the way into a reduction: the
+        # polynomial that mixes them is refused when it is built
         with pytest.raises(TypeError, match="cannot mix"):
+            f = NcPolynomial(AB, {AB.word(lead): Fraction(1), AB.word("x"): GF7(2)})
             reduce(f, RuleSet([parse_poly("y*y - x", AB)]))
 
     def test_rejects_a_coefficient_of_no_field(self):
