@@ -32,10 +32,6 @@ class CappedCompletionError(ValueError):
     """A query needs a certified basis, and the completion stopped at a cap."""
 
 
-class NonBinomialRuleError(AssertionError):
-    """A monoid-derived completion produced a rule that is not binomial/monomial."""
-
-
 @dataclass(frozen=True)
 class Composition:
     """An S-polynomial of rules ``source`` = (f, g) of ``basis`` at an lcm w of their leads.
@@ -90,6 +86,12 @@ def _stats(processed: int = 0, skipped: int = 0, added: int = 0, steps: int = 0)
         "rules_added": added,
         "reduction_steps": steps,
     }
+
+
+def _is_binomial_shape(terms: dict, p: int) -> bool:
+    """Numerators by word over Q (p = 0) or GF(p): a monomial, or lead - u once monic."""
+    n = sum(terms.values())
+    return len(terms) == 1 or (len(terms) == 2 and (n % p if p else n) == 0)
 
 
 @dataclass
@@ -173,12 +175,6 @@ def walk_compositions(S: RuleSet, max_degree: int | None = None):
                 yield CompositionRecord(comp, None if over else _residue(S, *comp.ints())[0])
 
 
-def _is_binomial_shape(terms: dict, p: int) -> bool:
-    """Numerators by word over Q (p = 0) or GF(p): a monomial, or lead - u once monic."""
-    n = sum(terms.values())
-    return len(terms) == 1 or (len(terms) == 2 and (n % p if p else n) == 0)
-
-
 class _Loop:
     """State of one completion run.
 
@@ -186,7 +182,7 @@ class _Loop:
     and retired rules stop matching, so reductions see only its active rules.
     """
 
-    def __init__(self, basis: RuleSet, enforce_binomial: bool):
+    def __init__(self, basis: RuleSet):
         self.basis = basis
         self.heap: list = []
         self.seq = 0
@@ -194,7 +190,6 @@ class _Loop:
         self.skipped = 0
         self.reduction_steps = 0
         self.unit = False
-        self.enforce_binomial = enforce_binomial
 
     def push_compositions(self, idx: int) -> list[int]:
         """Queue rule idx's compositions with every active rule, and return the
@@ -217,8 +212,6 @@ class _Loop:
             self.unit = True
             return
         idx = S._install(residue)
-        if self.enforce_binomial and not _is_binomial_shape(residue.ints, S.modulus):
-            raise NonBinomialRuleError(f"non-binomial rule from word relations: {S[idx]}")
         stale = self.push_compositions(idx)
         for i in stale:
             S.retire(i)
@@ -252,7 +245,7 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
     max_degree = cfg.max_degree if cfg.max_degree is not None else max(6, max_in)
     if max_degree < max_in:
         raise ValueError("max_degree must cover the input relation degrees")
-    loop = _Loop(S, all(_is_binomial_shape(f.ints, S.modulus) for f in inputs))
+    loop = _Loop(S)
 
     # install inputs one at a time, reducing each against what is already there
     for f in inputs:

@@ -161,12 +161,11 @@ class StructureTable:
         return out
 
 
-def from_structure_constants(table: StructureTable, names) -> list[tuple[dict, NcPolynomial]]:
+def from_structure_constants(table: StructureTable, names) -> list[NcPolynomial]:
     """Defining relations of the enveloping algebra of a multiplication table.
 
-    For each i > j: the Lie relation [x_i, x_j] - sum_t c x_t and its
-    associative expansion x_i x_j - x_j x_i - sum_t c x_t.  With precedence
-    taken from declaration order the leading word is x_i x_j.
+    For each i > j, the expansion x_i x_j - x_j x_i - sum_t c x_t of the Lie relation
+    [x_i, x_j] - sum_t c x_t; with precedence from declaration order its lead is x_i x_j.
     """
     names = tuple(names)
     if len(names) != table.dimension:
@@ -182,7 +181,7 @@ def from_structure_constants(table: StructureTable, names) -> list[tuple[dict, N
             for t, c in table.bracket(i, j).items():
                 leaf = LieTerm.leaf(alphabet, t)
                 combo[leaf] = combo.get(leaf, 0) - c
-            out.append((combo, expand_bracket(combo)))
+            out.append(expand_bracket(combo))
     return out
 
 

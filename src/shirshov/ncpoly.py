@@ -322,12 +322,6 @@ class LieTerm:
             raise AlphabetMismatchError("bracket over different alphabets")
         return LieTerm(left.alphabet, left=left, right=right)
 
-    @property
-    def degree(self) -> int:
-        if self.gen is not None:
-            return 1
-        return self.left.degree + self.right.degree
-
     def __str__(self) -> str:
         if self.gen is not None:
             return self.alphabet.symbols[self.gen]

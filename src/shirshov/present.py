@@ -239,7 +239,7 @@ def to_algebra_relations(p: Presentation) -> list[NcPolynomial]:
     if p.kind == "algebra":
         return list(p.relations)
     if p.kind == "lie":
-        return [f for _, f in from_structure_constants(p.table, p.alphabet.symbols)]
+        return from_structure_constants(p.table, p.alphabet.symbols)
     pairs = list(p.relations)
     if p.kind == "group":
         n = len(p.base_generators)
@@ -330,16 +330,12 @@ def catalog(name: str) -> Presentation:
         return parse_presentation(
             "kind: monoid\ngenerators: q p\nrelations:\n  p q = 1\n"
         )
-    if name.startswith("plactic-"):
-        n = _rank(name, 4)
-        body = "\n".join(f"  {r}" for r in _knuth_relations(n))
-        gens = " ".join(chr(ord("a") + i) for i in range(n))
-        return parse_presentation(f"kind: monoid\ngenerators: {gens}\nrelations:\n{body}\n")
-    if name.startswith("chinese-"):
-        n = _rank(name, 4)
-        body = "\n".join(f"  {r}" for r in _chinese_relations(n))
-        gens = " ".join(chr(ord("a") + i) for i in range(n))
-        return parse_presentation(f"kind: monoid\ngenerators: {gens}\nrelations:\n{body}\n")
+    for prefix, relations in (("plactic-", _knuth_relations), ("chinese-", _chinese_relations)):
+        if name.startswith(prefix):
+            n = _rank(name, 4)
+            body = "\n".join(f"  {r}" for r in relations(n))
+            gens = " ".join(chr(ord("a") + i) for i in range(n))
+            return parse_presentation(f"kind: monoid\ngenerators: {gens}\nrelations:\n{body}\n")
     if name.startswith("free-comm-"):
         n = _rank(name, 4)
         gens = [f"x{i + 1}" for i in range(n)]

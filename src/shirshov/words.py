@@ -83,10 +83,6 @@ class Word:
     def __hash__(self) -> int:
         return hash(self.letters)
 
-    @property
-    def degree(self) -> int:
-        return len(self.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 

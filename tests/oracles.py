@@ -365,7 +365,7 @@ def reference_algebra_relations(p):
     if p.kind == "algebra":
         return list(p.relations)
     if p.kind == "lie":
-        return [f for _, f in from_structure_constants(p.table, p.alphabet.symbols)]
+        return from_structure_constants(p.table, p.alphabet.symbols)
     rels = [NcPolynomial.monomial(u) - NcPolynomial.monomial(v) for u, v in p.relations]
     if p.kind == "group":
         n = len(p.base_generators)

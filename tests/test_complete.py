@@ -598,7 +598,7 @@ class TestRetirement:
         # completion only adds irreducible leads; a direct add_rule can repeat one
         basis = RuleSet()
         basis._over(BA, Fraction)
-        loop = complete._Loop(basis, enforce_binomial=False)
+        loop = complete._Loop(basis)
         for text in ("b*a - a", "b*a - 1", "b*b*a - b", "b - 1"):
             loop.add_rule(parse_poly(text, BA))
         assert [expected for _, expected, _ in adds[:4]] == [[], [], [], [0, 1, 2]]
@@ -824,7 +824,7 @@ class TestIntegerMonic:
             want = RuleSet([monic])
             basis = RuleSet()
             basis._over(XYZ, field)
-            loop = complete._Loop(basis, enforce_binomial=False)
+            loop = complete._Loop(basis)
             terms, D = f.ints, f.den
             lc = f.leading()[1]
             seen["lead not 1"] += lc != 1

@@ -194,7 +194,7 @@ def non_jacobi_table():
 class TestStructureConstants:
     def test_sl2_transcription(self):
         rels = from_structure_constants(sl2_table(), ("f", "e", "h"))
-        polys = {str(f) for _, f in rels}
+        polys = {str(f) for f in rels}
         assert polys == {
             "e*f - f*e - h",
             "h*e - e*h - 2*e",
@@ -208,8 +208,8 @@ class TestStructureConstants:
         q = sl2_table()
         gf = StructureTable(q.dimension, tuple((k, GF7(c.numerator)) for k, c in q.constants))
         names = ("f", "e", "h")
-        over_q = [f for _, f in from_structure_constants(q, names)]
-        over_gf = [f for _, f in from_structure_constants(gf, names)]
+        over_q = from_structure_constants(q, names)
+        over_gf = from_structure_constants(gf, names)
         assert [f.terms for f in over_gf] == [
             {w: GF7(c.numerator) for w, c in f.terms.items()} for f in over_q
         ]
@@ -221,7 +221,18 @@ class TestStructureConstants:
 
     def test_abelian_two(self):
         rels = from_structure_constants(StructureTable.from_dict(2, {}), ("x", "y"))
-        assert [str(f) for _, f in rels] == ["y*x - x*y"]
+        assert [str(f) for f in rels] == ["y*x - x*y"]
+
+    def test_rejections(self):
+        for table, message in (
+            ({(0, 1): {0: 1}}, "table entries need dimension > i > j >= 0"),
+            ({(2, 0): {0: 1}}, "table entries need dimension > i > j >= 0"),
+            ({(1, 0): {2: 1}}, "target index out of range"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                StructureTable.from_dict(2, table)
+        with pytest.raises(ValueError, match="need one name per table dimension"):
+            from_structure_constants(sl2_table(), ("f", "e"))
 
     def test_antisymmetry_structural(self):
         t = sl2_table()
@@ -231,12 +242,12 @@ class TestStructureConstants:
 
 class TestLieGsCheck:
     def test_sl2_is_gs(self):
-        rels = [f for _, f in from_structure_constants(sl2_table(), ("f", "e", "h"))]
+        rels = from_structure_constants(sl2_table(), ("f", "e", "h"))
         ok, certs = lie_gs_check(rels)
         assert ok and certs == []
 
     def test_non_jacobi_fails_with_residue(self):
-        rels = [f for _, f in from_structure_constants(non_jacobi_table(), ("x", "y", "z"))]
+        rels = from_structure_constants(non_jacobi_table(), ("x", "y", "z"))
         ok, certs = lie_gs_check(rels)
         assert not ok
         residues = {str(rec.residue) for rec in certs}
@@ -295,7 +306,7 @@ class TestJacobiEquivalence:
                             combo[t] = Fraction(c)
                     table[(i, j)] = combo
             st = StructureTable.from_dict(n, table)
-            rels = [f for _, f in from_structure_constants(st, names[:n])]
+            rels = from_structure_constants(st, names[:n])
             ok, _ = lie_gs_check(rels)
             assert ok == jacobiator_vanishes(st)
 
@@ -317,7 +328,7 @@ class TestPbwBasis:
                 assert by_deg.get(d, 0) == k**d
 
     def test_sl2_degree_two(self):
-        rels = [f for _, f in from_structure_constants(sl2_table(), ("f", "e", "h"))]
+        rels = from_structure_constants(sl2_table(), ("f", "e", "h"))
         res = shirshov_complete(rels)
         out = pbw_basis(res, 2, FEH)
         deg2 = [str(m) for m in out if m.degree == 2]
@@ -326,14 +337,14 @@ class TestPbwBasis:
         )
 
     def test_foreign_alphabet_rejected(self):
-        rels = [f for _, f in from_structure_constants(sl2_table(), ("f", "e", "h"))]
+        rels = from_structure_constants(sl2_table(), ("f", "e", "h"))
         res = shirshov_complete(rels)
         with pytest.raises(AlphabetMismatchError):
             pbw_basis(res, 2, ABC)
         assert pbw_basis(res, 2, Alphabet(("f", "e", "h"))) == pbw_basis(res, 2)
 
     def test_rule_set_certified_elsewhere(self):
-        rels = [f for _, f in from_structure_constants(sl2_table(), ("f", "e", "h"))]
+        rels = from_structure_constants(sl2_table(), ("f", "e", "h"))
         res = shirshov_complete(rels)
         assert len(pbw_basis(res.basis, 3)) == 1 + 3 + 6 + 10
         assert pbw_basis(res.basis, 3) == pbw_basis(res, 3)

@@ -17,7 +17,7 @@ from shirshov import (
     prime_field,
 )
 from shirshov.ncpoly import PolyParseError, ZeroPolynomialError
-from shirshov.words import deglex_key
+from shirshov.words import AlphabetMismatchError, deglex_key
 
 from oracles import DictPoly
 
@@ -166,6 +166,19 @@ class TestExpandBracket:
         assert out == P("2*x*y - 2*y*x - x", AB)
 
 
+    def test_rejections(self):
+        with pytest.raises(ValueError, match="generator index out of range"):
+            LieTerm.leaf(AB, 2)
+        with pytest.raises(ValueError, match="generator index out of range"):
+            LieTerm.leaf(AB, -1)
+        x, a = LieTerm.leaf(AB, 0), LieTerm.leaf(BA, 0)
+        with pytest.raises(AlphabetMismatchError, match="bracket over different alphabets"):
+            LieTerm.bracket(x, a)
+        with pytest.raises(ValueError, match="cannot expand an empty combination"):
+            expand_bracket({})
+        with pytest.raises(AlphabetMismatchError, match="bracket terms over different alphabets"):
+            expand_bracket({x: 1, a: 1})
+
     def test_over_a_prime_field(self):
         GF7 = prime_field(7)
         e, f, h = (LieTerm.leaf(FEH, i) for i in range(3))
@@ -209,6 +222,20 @@ class TestTextSyntax:
             P("q", AB)
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x $ y", "unexpected character at ' $ y'"),
+            ("", "empty polynomial"),
+            ("x y", "missing '+', '-' or '*' before 'y'"),
+            ("x + + y", "empty term"),
+        ],
+    )
+    def test_rejection_messages(self, text, message):
+        with pytest.raises(PolyParseError) as exc:
+            P(text, AB)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
         "field, text",
         [(Fraction, "x*y - 1/0"), (prime_field(32003), "x*y - 1/0"), (prime_field(7), "x - 1/14")],
         ids=["Q", "GF32003", "GF7-multiple-of-p"],
@@ -231,6 +258,17 @@ class TestPrimeField:
         assert a * F7(5) == F7(1)
         assert a / F7(5) == a * F7(3)
         assert -a == F7(4)
+
+    def test_rejections(self):
+        F5, F7 = prime_field(5), prime_field(7)
+        for zero in (F7(0), F7(14), 7):
+            with pytest.raises(ZeroDivisionError, match="division by zero in GF"):
+                F7(3) / zero
+        with pytest.raises(TypeError, match="cannot mix 2 with GF\\(7\\) elements"):
+            F7(3) + F5(2)
+
+    def test_rendering(self):
+        assert str(parse_poly("2*x*y - y", AB, field=prime_field(7))) == "2*x*y + 6*y"
 
     def test_polynomials_over_gf(self):
         F5 = prime_field(5)

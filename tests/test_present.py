@@ -2,6 +2,7 @@
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,8 @@ from shirshov import (
     normal_form_word,
     parse_presentation,
     pbw_basis,
+    prime_field,
+    shirshov_complete,
     to_algebra_relations,
     word_problem,
 )
@@ -44,6 +47,7 @@ from oracles import (
 
 BICYCLIC_SRC = "kind: monoid\ngenerators: q p\nrelations:\n  p q = 1\n"
 LIE_HEAD = "kind: lie\ngenerators: x y z\nrelations:\n"
+ALGEBRA_HEAD = "kind: algebra\ngenerators: x y\nrelations:\n"
 # (source, line, message): one case per parser rejection branch; a missing
 # header has no line to name
 PARSE_ERRORS = [
@@ -90,6 +94,8 @@ PARSE_ERRORS = [
         LIE_HEAD + "  bracket y x = z\n  bracket z x = 0\n  bracket y x = 0\n", 6, "duplicate bracket entry",
         id="lie-duplicate",
     ),
+    pytest.param(ALGEBRA_HEAD + "  x y\n", 4, "missing '+', '-' or '*' before 'y'", id="algebra-juxtaposed"),
+    pytest.param(ALGEBRA_HEAD + "  x + + y\n", 4, "empty term", id="algebra-empty-term"),
 ]
 
 
@@ -223,6 +229,29 @@ class TestParsePresentation:
             assert to_algebra_relations(again) == to_algebra_relations(p)
 
 
+def _seeded_word_presentations(seen=None):
+    """60 random monoid and 60 random group presentations over 1-3 generators,
+    counting in seen the relations u = u, w = 1 and 1 = w."""
+    seen = Counter() if seen is None else seen
+    rng = random.Random(20261019)
+    out = []
+    for kind in ("monoid", "group") * 60:
+        gens = "abc"[: rng.randint(1, 3)]
+        symbols = list(gens) + ([g + "'" for g in gens] if kind == "group" else [])
+        lines = []
+        for _ in range(rng.randint(1, 5)):
+            u, v = (" ".join(rng.choices(symbols, k=rng.randrange(4))) or "1" for _ in range(2))
+            if rng.random() < 0.2:
+                v = u
+            seen["u = u"] += u == v
+            seen["w = 1"] += v == "1" != u
+            seen["1 = w"] += u == "1" != v
+            lines.append(f"  {u} = {v}\n")
+        head = f"kind: {kind}\ngenerators: {' '.join(gens)}\nrelations:\n"
+        out.append(parse_presentation(head + "".join(lines)))
+    return out
+
+
 class TestToAlgebraRelations:
     def test_bicyclic(self):
         p = parse_presentation(BICYCLIC_SRC)
@@ -246,23 +275,8 @@ class TestToAlgebraRelations:
         def terms(rels):
             return [(f.alphabet, [(w, type(c), c) for w, c in f.terms.items()]) for f in rels]
 
-        presentations = [catalog(name) for name in CATALOG_NAMES]
-        rng = random.Random(20261019)
         seen = Counter()
-        for kind in ("monoid", "group") * 60:
-            gens = "abc"[: rng.randint(1, 3)]
-            symbols = list(gens) + ([g + "'" for g in gens] if kind == "group" else [])
-            lines = []
-            for _ in range(rng.randint(1, 5)):
-                u, v = (" ".join(rng.choices(symbols, k=rng.randrange(4))) or "1" for _ in range(2))
-                if rng.random() < 0.2:
-                    v = u
-                seen["u = u"] += u == v
-                seen["w = 1"] += v == "1" != u
-                seen["1 = w"] += u == "1" != v
-                lines.append(f"  {u} = {v}\n")
-            head = f"kind: {kind}\ngenerators: {' '.join(gens)}\nrelations:\n"
-            presentations.append(parse_presentation(head + "".join(lines)))
+        presentations = [catalog(name) for name in CATALOG_NAMES] + _seeded_word_presentations(seen)
         for p in presentations:
             assert terms(to_algebra_relations(p)) == terms(reference_algebra_relations(p)), p.source()
         assert min(seen.values()) > 10, seen
@@ -572,3 +586,63 @@ class TestBinomialClosure:
                 assert len(coeffs) in (1, 2)
                 if len(coeffs) == 2:
                     assert coeffs == [1, -1]
+
+    # Compositions and reductions of binomials are binomials, so completion
+    # checks no rule's shape; every rule it installs, retired ones included,
+    # must still be a binomial lead - u or a monomial.
+
+    @pytest.fixture
+    def installed(self, monkeypatch):
+        """(rule set, index) of every rule installed while the test runs."""
+        seen = []
+        install = RuleSet._install
+
+        def spy(S, f):
+            idx = install(S, f)
+            seen.append((S, idx))
+            return idx
+
+        monkeypatch.setattr(RuleSet, "_install", spy)
+        return seen
+
+    @staticmethod
+    def _assert_binomial(installed) -> int:
+        """Assert the shape of every installed rule; return how many were retired."""
+        assert installed
+        for S, idx in installed:
+            assert complete._is_binomial_shape(S[idx].ints, S.modulus), S[idx]
+        sets = {id(S): S for S, _ in installed}.values()
+        return sum(len(S) - len(S.active) for S in sets)
+
+    def test_catalog_installs_only_binomials(self, installed):
+        names = [name for name in CATALOG_NAMES if catalog(name).kind == "monoid"]
+        assert len(names) == 10
+        for name in names:
+            complete_presentation(catalog(name))
+        self._assert_binomial(installed)
+
+    def test_seeded_word_presentations_install_only_binomials(self, installed):
+        cfg = CompletionConfig(max_degree=6, max_rules=40)
+        for p in _seeded_word_presentations():
+            complete_presentation(p, cfg)
+        assert self._assert_binomial(installed) > 10
+
+    @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
+    def test_seeded_binomial_algebras_install_only_binomials(self, installed, field):
+        # relations c·u and c·(u - v) with c != 1, which completion makes monic
+        rng = random.Random(20261020)
+        cfg = CompletionConfig(max_degree=6, max_rules=40)
+        seen = Counter()
+        for _ in range(80):
+            A = rng.choice((Alphabet("ab"), Alphabet("abc")))
+            rels = []
+            for _ in range(rng.randint(1, 4)):
+                u, v = (Word(A, rng.choices(range(len(A)), k=rng.randint(0, 3))) for _ in range(2))
+                c = field(rng.choice((-6, -2, -1, 2, 3, 5)))
+                monomial = u == v or rng.random() < 0.25
+                seen["monomial"] += monomial
+                rels.append(NcPolynomial(A, {u: c} if monomial else {u: c, v: -c}))
+            res = shirshov_complete(rels, cfg)
+            seen[res.status] += 1
+        assert self._assert_binomial(installed) > 10
+        assert min(seen[k] for k in ("monomial", "complete", "unit_ideal")) > 5, seen
