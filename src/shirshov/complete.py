@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .ncpoly import NcPolynomial, render_poly
-from .rewrite import RuleSet, _residue, _rewrite
+from .rewrite import RuleSet, _reduce_ints, _residue, _rewrite
 from .words import Overlap, Word, _inclusions, _intersections, _trusted_word
 
 STATUS_COMPLETE = "complete"
@@ -96,6 +96,11 @@ def _is_binomial_shape(terms: dict, p: int) -> bool:
 
 @dataclass
 class CompletionResult:
+    """For ``complete``, ``basis`` is the reduced GS basis, unique for the ideal
+    and the order: the loop's rules, tails reduced.  A capped status keeps the
+    loop's rules unreduced; ``unit_ideal`` has the rule 1.  A certificate's
+    ``source`` indices number the loop's rules, not ``basis``'s."""
+
     basis: RuleSet
     status: str
     certificates: list[CompositionRecord]
@@ -230,6 +235,15 @@ class _Loop:
         return residue
 
 
+def _tail_reduced(S: RuleSet, i: int) -> NcPolynomial:
+    """Rule i of a GS basis S, its tail replaced by the tail's normal form modulo S.
+    Over the active rules, whose leads are minimal, these make the reduced GS
+    basis.  S is not changed: certificates read its rules."""
+    L, us, ns = S.tails[i]
+    tail, D, _ = _reduce_ints(S, {(len(u), u): n for u, n in zip(us, ns)}, L)
+    return NcPolynomial._from_ints(S.alphabet, S.field, {(len(S.leads[i]), S.leads[i]): D, **tail}, D)
+
+
 def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> CompletionResult:
     """Run Shirshov's completion on a list of nonzero polynomials."""
     # every relation is checked before the first reduction
@@ -267,13 +281,8 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
         if residue.ints and rule_cap_hit():
             break
 
-    basis = RuleSet()
-    basis._over(S.alphabet, S.field)
-    for i in () if loop.unit else S.active:
-        basis._install(S[i])
     if loop.unit:
         status = STATUS_UNIT_IDEAL
-        basis._install(NcPolynomial._from_ints(S.alphabet, S.field, {(0, ()): 1}))  # the rule 1
     elif rule_cap_hit():
         status = STATUS_CAPPED_RULES
     # An emptied heap certifies: each final pair's compositions were popped
@@ -285,6 +294,12 @@ def shirshov_complete(relations, cfg: CompletionConfig | None = None) -> Complet
         status = STATUS_CAPPED_DEGREE
     else:
         status = STATUS_COMPLETE
+    basis = RuleSet()
+    basis._over(S.alphabet, S.field)
+    for i in () if loop.unit else S.active:
+        basis._install(_tail_reduced(S, i) if status == STATUS_COMPLETE else S[i])
+    if loop.unit:
+        basis._install(NcPolynomial._from_ints(S.alphabet, S.field, {(0, ()): 1}))  # the rule 1
     stats = _stats(len(loop.certificates), loop.skipped, len(S), loop.reduction_steps)
     return CompletionResult(basis, status, loop.certificates, stats)
 

@@ -417,3 +417,99 @@ class DictPoly:
 
     def poly(self) -> NcPolynomial:
         return NcPolynomial(self.alphabet, {Word(self.alphabet, w): c for w, c in self.terms.items()})
+
+
+def _ref_lead(f: dict) -> tuple:
+    return max(f, key=lambda w: (len(w), w))
+
+
+def _ref_find(w: tuple, u: tuple) -> list[int]:
+    """Every position at which u occurs in w, by a scan of all of them."""
+    return [i for i in range(len(w) - len(u) + 1) if w[i:i + len(u)] == u]
+
+
+def _ref_sub(f: dict, c, a: tuple, g: dict, b: tuple) -> None:
+    """f -= c·a·g·b, in place."""
+    for v, d in g.items():
+        key = a + v + b
+        f[key] = f.get(key, 0) - d * c
+        if not f[key]:
+            del f[key]
+
+
+def _ref_reduce(f: dict, G: list[dict]) -> dict:
+    """f's remainder modulo the monic polynomials G: the greatest word that some
+    lead divides is rewritten at the first lead and position found, until no
+    word of f has a lead of G as a subword."""
+    f, out = dict(f), {}
+    leads = [(_ref_lead(g), g) for g in G]
+    while f:
+        w = _ref_lead(f)
+        for u, g in leads:
+            pos = _ref_find(w, u)
+            if pos:
+                _ref_sub(f, f[w], w[:pos[0]], g, w[pos[0] + len(u):])
+                break
+        else:
+            out[w] = f.pop(w)
+    return out
+
+
+def _ref_compositions(f: dict, g: dict):
+    """(w, value) per intersection and inclusion composition of f and g, in
+    that orientation, the trivial ones (u = v at a = b = 1 of f with itself)
+    left out."""
+    u, v = _ref_lead(f), _ref_lead(g)
+    for k in range(1, min(len(u), len(v))):
+        if u[-k:] == v[:k]:  # w = u·v[k:] = u[:-k]·v
+            value = {w + v[k:]: c for w, c in f.items()}
+            _ref_sub(value, 1, u[:-k], g, ())
+            yield u + v[k:], value
+    for p in _ref_find(u, v):
+        if f is not g:  # w = u = a·v·b
+            value = dict(f)
+            _ref_sub(value, 1, u[:p], g, u[p + len(v):])
+            yield u, value
+
+
+def reference_complete(relations, cap: int):
+    """(status, {lead letters: {letters: coefficient}}): a textbook completion
+    of the nonzero polynomials relations, on plain dicts in their own field.
+
+    Every ordered pair of rules, a rule with itself too, is composed again,
+    each composition with |w| <= cap reduced by brute-force subword scans and
+    adjoined made monic, until a pass adjoins nothing.  The rules then shrink
+    to those whose lead no other kept lead divides, and each tail is reduced
+    modulo them.  The status is "unit_ideal" once a nonzero constant appears,
+    "capped_degree" when a composition of the final rules has |w| > cap, and
+    "complete" otherwise: compositions of rules dropped by the minimizing
+    step do not count."""
+
+    def monic(f):
+        lc = f[_ref_lead(f)]
+        return {w: c / lc for w, c in f.items()}
+
+    G = []
+    todo = [{w.letters: c for w, c in f.terms.items()} for f in relations]
+    while todo:
+        for f in todo:
+            if _ref_lead(f) == ():
+                return "unit_ideal", {(): {(): 1}}
+            G.append(monic(f))
+        todo = []
+        for f, g in itertools.product(G, repeat=2):
+            for w, value in _ref_compositions(f, g):
+                if len(w) <= cap:
+                    r = _ref_reduce(value, G + todo)
+                    if r:
+                        todo.append(monic(r))
+    kept = []
+    for g in sorted(G, key=lambda g: (len(_ref_lead(g)), _ref_lead(g))):
+        if not any(_ref_find(_ref_lead(g), _ref_lead(h)) for h in kept):
+            kept.append(g)
+    over = any(len(w) > cap for f, g in itertools.product(kept, repeat=2) for w, _ in _ref_compositions(f, g))
+    basis = {}
+    for g in kept:
+        u = _ref_lead(g)
+        basis[u] = {u: g[u], **_ref_reduce({w: c for w, c in g.items() if w != u}, kept)}
+    return ("capped_degree" if over else "complete"), basis

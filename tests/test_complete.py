@@ -34,17 +34,18 @@ from shirshov.complete import (
     STATUS_UNIT_IDEAL,
     walk_compositions,
 )
-from shirshov.present import CATALOG_NAMES
-from shirshov.rewrite import _reduce_ints
+from shirshov.present import CATALOG_NAMES, to_algebra_relations
+from shirshov.rewrite import _reduce_ints, irr_counts
 
 from oracles import (
     DictPoly,
     nested_lead,
     random_ideal_element,
+    reference_complete,
     reference_compositions,
     reference_reduce_with_steps,
 )
-from test_golden import CASES as GOLDEN_CASES, EXTRA_SOURCES, _source as golden_source
+from test_golden import CASES as GOLDEN_CASES, EXTRA_SOURCES, _chinese_source, _source as golden_source
 
 FEH = Alphabet(("f", "e", "h"))
 PQ = Alphabet(("q", "p"))
@@ -855,3 +856,131 @@ class TestIntegerMonic:
             got, want = RuleSet([f]), RuleSet([DictPoly.of(f).monic().poly()])
             assert (got.leads, got.tails, got[0]) == (want.leads, want.tails, want[0])
         assert not_monic > 200
+
+
+def _source_relations(source: str) -> list[NcPolynomial]:
+    return to_algebra_relations(parse_presentation(source))
+
+
+def _basis_json(res) -> str:
+    """The basis as ``complete --json`` prints it."""
+    return json.dumps(res.to_json_dict()["basis"], indent=2)
+
+
+def _basis_terms(basis: RuleSet) -> dict:
+    """{lead letters: {letters: coefficient}} per rule of basis."""
+    return {f.leading()[0].letters: {w.letters: c for w, c in f.terms.items()} for f in basis.rules}
+
+
+def _reduced_basis_inputs():
+    """(label, relations, config): the catalog at its default cap, rank-5 and
+    rank-6 Chinese and the golden retiring sources at their caps, chinese-3
+    stopped by its rule cap, and the 48 algebra benchmark sets at cap 8."""
+    out = [(name, to_algebra_relations(catalog(name)), CompletionConfig()) for name in CATALOG_NAMES]
+    out += [(f"chinese-{n}@7", _source_relations(_chinese_source(n)), CompletionConfig(max_degree=7)) for n in (5, 6)]
+    out += [(f"{name}@5", _source_relations(EXTRA_SOURCES[name]), CompletionConfig(max_degree=5))
+            for name in ("retiring-complete", "retiring-capped")]
+    out.append(("chinese-3 rules<=8", to_algebra_relations(catalog("chinese-3")), CompletionConfig(max_rules=8)))
+    out += [(f"algebra-{i}", rels, CompletionConfig(max_degree=8)) for i, rels in enumerate(_algebra_benchmark_sets())]
+    return out
+
+
+class TestReducedBasis:
+    """A complete run returns the reduced GS basis: the loop's active rules
+    with their leads, each tail its normal form modulo the loop's rules.  A
+    capped run returns the loop's active rules as they are."""
+
+    def test_reduced_and_capped_bases(self, monkeypatch):
+        loops = []
+
+        class RecordingLoop(complete._Loop):
+            def __init__(self, basis):
+                super().__init__(basis)
+                loops.append(self)
+
+        monkeypatch.setattr(complete, "_Loop", RecordingLoop)
+        status, tails_changed = {}, 0
+        for label, rels, cfg in _reduced_basis_inputs():
+            loops.clear()
+            res = shirshov_complete(rels, cfg)
+            (loop,) = loops
+            S, basis = loop.basis, res.basis
+            status[label] = res.status
+            loop_rules = [S[i] for i in S.active]
+            if res.status == STATUS_COMPLETE:
+                assert sorted(basis.leads) == sorted(S.leads[i] for i in S.active), label
+                for i in basis.active:
+                    assert all(basis.leftmost_match(u) is None for u in basis.tails[i][1]), (label, basis[i])
+                tails_changed += basis.rules != loop_rules
+            else:
+                assert basis.rules == loop_rules and basis.tails == [S.tails[i] for i in S.active], label
+            assert irr_counts(basis, 8) == irr_counts(S, 8), label
+        assert status["plactic-4"] == status["retiring-capped@5"] == STATUS_CAPPED_DEGREE
+        assert status["chinese-3 rules<=8"] == STATUS_CAPPED_RULES
+        assert Counter(status.values())[STATUS_COMPLETE] > 30 and tails_changed > 5, (status, tails_changed)
+
+
+class TestRelationOrder:
+    """The reduced GS basis is unique for the ideal and the order, so a
+    complete run prints the same basis whatever order the relations come in."""
+
+    @staticmethod
+    def _assert_order_free(rels, cfg, orders):
+        res = shirshov_complete(rels, cfg)
+        assert res.status == STATUS_COMPLETE
+        want = _basis_json(res)
+        for order in orders:
+            again = shirshov_complete([rels[k] for k in order], cfg)
+            assert (again.status, _basis_json(again)) == (STATUS_COMPLETE, want)
+
+    @staticmethod
+    def _orders(n: int, seed: int, k: int = 3):
+        rng = random.Random(seed)
+        return [list(range(n))[::-1]] + [rng.sample(range(n), n) for _ in range(k)]
+
+    @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if n not in ("plactic-3", "plactic-4")])
+    def test_catalog(self, name):
+        # the catalog entries that complete at the default cap
+        rels = to_algebra_relations(catalog(name))
+        self._assert_order_free(rels, CompletionConfig(), self._orders(len(rels), 7))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_chinese_at_cap_7(self, n):
+        rels = _source_relations(_chinese_source(n))
+        self._assert_order_free(rels, CompletionConfig(max_degree=7), self._orders(len(rels), n, k=7))
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["Q", "GF32003"])
+    def test_algebra_sets(self, field):
+        cfg = CompletionConfig(max_degree=8)
+        completed = 0
+        for rels in _algebra_benchmark_sets()[field::2]:
+            if shirshov_complete(rels, cfg).status == STATUS_COMPLETE:
+                self._assert_order_free(rels, cfg, [[1, 0]])
+                completed += 1
+        assert completed == 11
+
+
+class TestReferenceCompletion:
+    """The engine's complete bases equal those of a textbook completion on
+    plain dicts (oracles.reference_complete), rule for rule."""
+
+    @pytest.mark.parametrize("name,cap", [(n, 7) for n in CATALOG_NAMES] + [("plactic-3", 6)])
+    def test_catalog(self, name, cap):
+        # plactic-4 at 7 and plactic-3 at 6 end capped_degree, which the reference
+        # must find from the compositions of its final rules alone
+        rels = to_algebra_relations(catalog(name))
+        res = shirshov_complete(rels, CompletionConfig(max_degree=cap))
+        status, basis = reference_complete(rels, cap)
+        assert status == res.status
+        if status == STATUS_COMPLETE:
+            assert basis == _basis_terms(res.basis)
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["Q", "GF32003"])
+    def test_algebra_sets(self, field):
+        compared = 0
+        for rels in _algebra_benchmark_sets()[field::2]:
+            res = shirshov_complete(rels, CompletionConfig(max_degree=8))
+            if res.status == STATUS_COMPLETE:
+                assert reference_complete(rels, 8) == (STATUS_COMPLETE, _basis_terms(res.basis))
+                compared += 1
+        assert compared == 11
