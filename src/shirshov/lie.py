@@ -19,7 +19,7 @@ from .ncpoly import (
     Scalar,
     expand_bracket,
 )
-from .rewrite import RuleSet, _irr_levels
+from .rewrite import RuleSet, _live_moves
 from .words import Alphabet, Word, _trusted_word, deglex_key
 
 
@@ -35,14 +35,23 @@ def is_alsw(u: Word) -> bool:
     """True iff u is strictly lex-greater than every proper rotation."""
     if len(u) == 0:
         raise ValueError("the empty word is not eligible")
-    return _is_alsw(u.letters)
-
-
-def _is_alsw(s: tuple[int, ...]) -> bool:
-    for cut in range(1, len(s)):
-        if s <= s[cut:] + s[:cut]:
+    s, p = u.letters, 0
+    for n, x in enumerate(s):
+        if not (p := _duval_step(s[:n], p, x)):
             return False
-    return True
+    return p == len(s)
+
+
+def _duval_step(w: tuple[int, ...], p: int, x: int) -> int:
+    """Duval's step, letter order flipped: w·x's period when it can start an ALSW, else 0.
+
+    p is w's period (0 when empty). A letter equal to the one p back keeps p;
+    a smaller one makes w·x an ALSW; a larger one starts no ALSW.
+    """
+    if not w:
+        return 1
+    y = w[-p]
+    return p if x == y else len(w) + 1 if x < y else 0
 
 
 def shirshov_factorize(u: Word) -> list[Word]:
@@ -202,7 +211,9 @@ def pbw_basis(S, d: int, alphabet: Alphabet | None = None) -> list[PbwMonomial]:
 
     S may be a certified CompletionResult, a RuleSet certified elsewhere, or
     None for the free case.  Output is ordered by (degree, deg-lex of the
-    concatenation); the unit ideal has none.
+    concatenation); the unit ideal has none.  The ALSWs are found by a walk
+    of Irr(S) that carries Duval's period and visits only the words that
+    can start an ALSW.
     """
     if isinstance(S, CompletionResult):
         ruleset = S.certified_basis()
@@ -215,13 +226,24 @@ def pbw_basis(S, d: int, alphabet: Alphabet | None = None) -> list[PbwMonomial]:
         raise ValueError("degree bound must be >= 0")
 
     k = len(alphabet)
-    levels = _irr_levels(ruleset, d, k)
-    if not next(levels):
+    start, moves = _live_moves(ruleset, k)
+    if not start:
         return []  # the unit ideal: Irr(S), and with it the PBW basis, is empty
+    # (word, Duval period, automaton state) for each word of Irr(S) that can start an ALSW
+    atoms = []
+    stack = [((), 0, 0)]
+    while stack:
+        w, p, s = stack.pop()
+        if p == len(w) > 0:
+            atoms.append(w)
+        if len(w) < d:
+            for x, t in moves[s]:
+                if q := _duval_step(w, p, x):
+                    stack.append((w + (x,), q, t))
     # with a letter above every letter appended, a proper prefix compares
     # greater; in this order the non-decreasing factor sequences are the
     # index-ordered runs
-    atoms = sorted((t for level in levels for t in level if _is_alsw(t)), key=lambda t: t + (k,))
+    atoms.sort(key=lambda t: t + (k,))
     words = [_trusted_word(alphabet, t) for t in atoms]
     by_len: dict[int, list[int]] = {}
     for i, t in enumerate(atoms):

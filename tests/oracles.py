@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 from functools import cmp_to_key
 
-from shirshov import Alphabet, NcPolynomial, Word, is_alsw, mul_bounded
+from shirshov import Alphabet, NcPolynomial, Word, mul_bounded
 from shirshov.complete import CompletionResult
 from shirshov.lie import PbwMonomial, from_structure_constants
 from shirshov.rewrite import RuleSet, irr_words
@@ -333,7 +333,7 @@ def reference_pbw_basis(S, d: int, alphabet: Alphabet | None = None):
         raise ValueError("degree bound must be >= 0")
     if brute_match((), ruleset) is not None:
         return []
-    atoms = [u for u in irr_words(ruleset, d, alphabet) if len(u) > 0 and is_alsw(u)]
+    atoms = [u for u in irr_words(ruleset, d, alphabet) if len(u) > 0 and rotation_maximal(u.letters)]
     atoms.sort(key=cmp_to_key(cmp_lex_prefix_greater))
     out = [PbwMonomial(())]
 

@@ -6,6 +6,7 @@ import pytest
 
 from shirshov import (
     Alphabet,
+    NcPolynomial,
     StructureTable,
     Word,
     catalog,
@@ -24,6 +25,8 @@ from shirshov import (
 )
 from shirshov.lie import NotAlswError, NotLieElementError
 from shirshov.complete import CappedCompletionError, CompletionConfig
+from shirshov import lie, rewrite
+from shirshov.rewrite import RuleSet
 from shirshov.words import AlphabetMismatchError
 
 from oracles import (
@@ -55,9 +58,10 @@ class TestIsAlsw:
         assert not is_alsw(BA.word("baba"))
 
     def test_matches_rotation_oracle(self):
-        for n in range(1, 9):
-            for w in all_words(BA, n):
-                assert is_alsw(w) == rotation_maximal(w.letters)
+        for alphabet, nmax in ((BA, 10), (ABC, 7)):
+            for n in range(1, nmax + 1):
+                for w in all_words(alphabet, n):
+                    assert is_alsw(w) == rotation_maximal(w.letters)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -450,8 +454,64 @@ class TestPbwDifferential:
     @pytest.mark.parametrize("k, d", [(2, 9), (3, 7)])
     def test_free_counts_follow_witt(self, k, d):
         # Witt's formula counts the ALSWs of each length: necklace_count
+        alphabet = ABC if k == 3 else BA
         lengths = [n for n in range(1, d + 1) for _ in range(necklace_count(k, n))]
         by_deg = [0] * (d + 1)
-        for m in pbw_basis(None, d, ABC if k == 3 else BA):
+        out = pbw_basis(None, d, alphabet)
+        for m in out:
             by_deg[m.degree] += 1
         assert by_deg == product_series(lengths, d) == [k**n for n in range(d + 1)]
+        # the single-factor monomials are the rotation-maximal words, listed
+        # by degree, then lex
+        atoms = [w.letters for n in range(1, d + 1) for w in all_words(alphabet, n)
+                 if rotation_maximal(w.letters)]
+        assert [m.factors[0].letters for m in out if len(m.factors) == 1] == atoms
+
+    def test_walks_only_alsw_prefixes(self, monkeypatch):
+        # the atoms come from the Duval-pruned walk, not from listing Irr(S):
+        # 90 words of sl2's Irr(S) up to degree 30 can start an ALSW, of 5,455
+        def listing(*args):
+            raise AssertionError("pbw_basis listed Irr(S)")
+
+        monkeypatch.setattr(rewrite, "_irr_levels", listing)
+        monkeypatch.setattr(lie, "_irr_levels", listing, raising=False)
+        res = complete_presentation(catalog("sl2"))
+        assert len(pbw_basis(res, 30)) == 5456  # C(33, 3)
+
+        periods = []
+        step = lie._duval_step
+
+        def counted(w, p, x):
+            periods.append(step(w, p, x))
+            return periods[-1]
+
+        monkeypatch.setattr(lie, "_duval_step", counted)
+        pbw_basis(res, 30)
+        assert sum(1 for p in periods if p) == 90
+
+    def test_monomial_rule_sets(self):
+        # seeded monomial sets, whose leads block ALSW prefixes: the walk
+        # prunes Irr(S) there, where the reference lists every word
+        fixed = [
+            (BA, ["a"]),  # a one-letter lead
+            (BA, ["ba"]),  # a lead that is itself an ALSW
+            (BA, ["aa"]),  # a periodic lead
+            (BA, ["bba", "aa"]),
+            (BA, ["a", "b"]),  # Irr(S) = {1}
+            (BA, ["aa", "bb", "ba"]),  # Irr(S) = {1, a, b, ab}
+            (ABC, ["b", "cc", "ca", "aa", "ac"]),  # Irr(S) is finite
+            (ABC, ["cb", "ca"]),
+            (BA, [""]),  # the unit ideal
+            (ABC, [""]),
+        ]
+        rng = random.Random(20)
+        cases = [(alphabet, [alphabet.word(t) for t in leads]) for alphabet, leads in fixed]
+        while len(cases) < 200:
+            alphabet = rng.choice((BA, ABC))
+            leads = [Word(alphabet, [rng.randrange(len(alphabet)) for _ in range(rng.randint(1, 4))])
+                     for _ in range(rng.randint(1, 4))]
+            cases.append((alphabet, leads))
+        for i, (alphabet, leads) in enumerate(cases):
+            S = RuleSet([NcPolynomial.monomial(u) for u in leads])
+            for d in range(9) if i < len(fixed) else [i % 9]:
+                assert pbw_basis(S, d, alphabet) == reference_pbw_basis(S, d, alphabet), (leads, d)
