@@ -30,7 +30,8 @@ def _max_steps() -> int:
 
 class RuleSet:
     """An ordered set of monic rewrite rules s, read as s_lead -> s_lead - s:
-    ``S[i]`` is rule i, ``leads`` and ``tails`` its parts as the kernels read them."""
+    ``S[i]`` is rule i, ``leads``, ``tails`` and ``actions`` its parts as the
+    kernels read them."""
 
     def __init__(self, rules=()):
         self.rules: list[NcPolynomial] = []
@@ -38,6 +39,9 @@ class RuleSet:
         # per rule, (L, (u, ...), (n, ...)): the rule is (L·lead + sum n·u)/L
         # in ints, u running over the tail's letters (over GF(p), L is 1)
         self.tails: list[tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]] = []
+        # per rule, rewrite_word's action: (len(lead) - 1, the first tail
+        # word's letters reversed, or None for a monomial rule)
+        self.actions: list[tuple[int, tuple[int, ...] | None]] = []
         self.active: dict[int, None] = {}  # active rule indices, in ascending order
         self._automaton_cache = None  # built on first query, dropped by add and retire
         self.alphabet: Alphabet | None = None
@@ -65,7 +69,9 @@ class RuleSet:
         idx = len(self.leads)
         self.rules.append(rule)
         self.leads.append(lead)
-        self.tails.append((rule.den, tuple(u for _, u in tail), tuple(rule.ints.values())[1:]))
+        us = tuple(u for _, u in tail)
+        self.tails.append((rule.den, us, tuple(rule.ints.values())[1:]))
+        self.actions.append((len(lead) - 1, us[0][::-1] if us else None))
         self.active[idx] = None
         self._automaton_cache = None
         return idx
@@ -106,72 +112,75 @@ class RuleSet:
     # -- subword matching --------------------------------------------
 
     def _automaton(self, k: int):
-        """(delta, rule): the Aho-Corasick automaton of the active leads over k letters.
+        """(delta, r0): the Aho-Corasick automaton of the active leads over k
+        letters, on its live states only.
 
-        A state is a lead prefix, state 0 the empty word; delta[s][x] is the
-        state after letter x. rule[s] is -1 when no active lead is a suffix
-        of s, else the lowest active index of the longest such lead.
+        A live state is a lead prefix that contains no active lead, state 0
+        the empty word. delta[s][x] is the live state after letter x, or ~r
+        when a lead ends there: r is the lowest active index of the longest
+        such lead. r0 is the lowest active index of an empty lead, else -1;
+        then nothing is live and delta is empty.
         """
         if self._automaton_cache is not None:
             return self._automaton_cache
         goto: list[dict[int, int]] = [{}]
-        rule = [-1]
+        own = [-1]  # own[n]: the lowest active index whose lead is trie node n
         for idx in self.active:  # ascending, so the lowest index claims a lead
-            s = 0
+            n = 0
             for x in self.leads[idx]:
-                if x not in goto[s]:
-                    goto[s][x] = len(goto)
+                if x not in goto[n]:
+                    goto[n][x] = len(goto)
                     goto.append({})
-                    rule.append(-1)
-                s = goto[s][x]
-            if rule[s] < 0:
-                rule[s] = idx
-        # breadth first, so a state's suffix link is final before the state is read
-        link = [0] * len(goto)
-        delta: list[list[int]] = [[]] * len(goto)
-        order = [0]
-        for s in order:
-            row = list(delta[link[s]]) if s else [0] * k
-            if rule[s] < 0:
-                rule[s] = rule[link[s]]
-            for x, t in goto[s].items():
-                link[t] = row[x]
-                row[x] = t
-                order.append(t)
-            delta[s] = row
+                    own.append(-1)
+                n = goto[n][x]
+            if own[n] < 0:
+                own[n] = idx
+        r0 = own[0]
+        delta: list[list[int]] = []
+        # breadth first, so a state's suffix link has its row before the
+        # state is read; live states are numbered as they are found
+        order = [] if r0 >= 0 else [(0, 0)]  # (trie node, suffix link's state)
+        for n, link in order:
+            row = list(delta[link]) if n else [0] * k
+            for x, c in goto[n].items():
+                if own[c] >= 0:  # c is a lead: its extensions are never entered
+                    row[x] = ~own[c]
+                elif row[x] >= 0:  # no shorter lead ends at c either: c is live
+                    order.append((c, row[x]))  # row[x] is c's longest proper suffix in the trie
+                    row[x] = len(order) - 1
+                # else row[x] already names the longest lead ending at c
+            delta.append(row)
+        table = (delta, r0)
         if self.alphabet is not None:  # an alphabet-less set is the free case of any k
-            self._automaton_cache = (delta, rule)
-        return delta, rule
+            self._automaton_cache = table
+        return table
 
     def leftmost_match(self, letters: tuple[int, ...]):
         """(position, rule index) of the first active lead occurrence to end.
 
         At that end the longest lead wins, then the lowest index; an active
         empty lead matches at 0. When no active lead lies inside another,
-        this is the leftmost occurrence. One automaton transition per letter.
+        this is the leftmost occurrence. One table lookup per letter, until
+        one names a rule.
         """
         if self.alphabet is None:
             return None  # no rules
-        delta, rule = self._automaton(len(self.alphabet))
-        if rule[0] >= 0:
-            return (0, rule[0])
+        delta, r0 = self._automaton(len(self.alphabet))
+        if r0 >= 0:
+            return (0, r0)
         s = 0
         for end, x in enumerate(letters, 1):
             s = delta[s][x]
-            r = rule[s]
-            if r >= 0:
-                return (end - len(self.leads[r]), r)
+            if s < 0:
+                return (end - len(self.leads[~s]), ~s)
         return None
 
     def has_lead_suffix(self, letters: tuple[int, ...]) -> bool:
-        """True when some active rule lead is a suffix of the given letters."""
-        if self.alphabet is None:
-            return False  # no rules
-        delta, rule = self._automaton(len(self.alphabet))
-        s = 0
-        for x in letters:
-            s = delta[s][x]
-        return rule[s] >= 0
+        """True when some active rule lead is a suffix of the given letters,
+        by a scan of the active leads: the table holds no state past a lead."""
+        n = len(letters)
+        leads = (self.leads[i] for i in self.active)
+        return any(len(u) <= n and letters[n - len(u):] == u for u in leads)
 
 
 def _rewrite(S: RuleSet, terms: dict, D: int, c: int, a: tuple, b: tuple, r: int) -> int:
@@ -262,54 +271,57 @@ def rewrite_word(letters: tuple[int, ...], S: RuleSet):
 
     S must be complete, with rules ``lead - tail`` and ``lead`` only. Letters
     move from the input onto an irreducible output stack, with the lead
-    automaton's state beside each, so one transition finds a lead suffix. A
-    lead found is popped and the tail's letters go back onto the input, to be
-    read again; a monomial rule absorbs the word. A complete basis is
-    confluent (Composition-Diamond lemma), so this order of rewrites reaches
-    the normal form ``reduce`` reaches. Each rewrite counts to GS_MAX_STEPS.
+    automaton's state beside each, so one table lookup per letter either
+    pushes it or names the rule whose lead it ends. That rule's action,
+    stored once at install, pops the rest of the lead and puts the tail's
+    letters back onto the input, to be read again; a monomial rule absorbs
+    the word. A complete basis is confluent (Composition-Diamond lemma), so
+    this order of rewrites reaches the normal form ``reduce`` reaches. Each
+    rewrite counts to GS_MAX_STEPS.
     """
     max_steps = _max_steps()
     if S.alphabet is None:
         return tuple(letters)  # no rules
-    delta, rule = S._automaton(len(S.alphabet))
-    if rule[0] >= 0:
+    delta, r0 = S._automaton(len(S.alphabet))
+    if r0 >= 0:
         return None  # an active empty lead: the unit ideal
+    actions = S.actions
     todo = list(reversed(letters))
     out: list[int] = []
     states = [0]  # states[i]: the automaton's state after out[:i]
+    s = 0
     steps = 0
     while todo:
         x = todo.pop()
-        s = delta[states[-1]][x]
-        r = rule[s]
-        if r < 0:
+        t = delta[s][x]
+        if t >= 0:
             out.append(x)
-            states.append(s)
+            states.append(t)
+            s = t
             continue
         steps += 1
         if steps > max_steps:
             raise StepLimitExceeded(f"reduction exceeded {max_steps} steps")
-        tail = S.tails[r][1]  # its words' letters
-        if not tail:
+        back, tail = actions[~t]
+        if tail is None:
             return None
-        n = len(out) + 1 - len(S.leads[r])  # the lead ends in x, not yet pushed
+        n = len(out) - back  # the lead ends in x, not yet pushed
         del out[n:]
         del states[n + 1:]
-        todo.extend(reversed(tail[0]))
+        s = states[n]
+        todo.extend(tail)
     return tuple(out)
 
 
 def _live_moves(S: RuleSet, k: int):
     """(start, moves): Ufnarovski's graph of chains, whose paths spell Irr(S).
 
-    Its nodes are the states no active lead is a suffix of: start is [0], or
-    [] when an active empty lead kills state 0; moves[s] lists (letter, node).
+    Its nodes are the automaton's live states: start is [0], or [] when an
+    active empty lead leaves none; moves[s] lists (letter, state) for the
+    transitions of s that name a live state, not a rule.
     """
-    delta, rule = S._automaton(k)
-    live = [r < 0 for r in rule]
-    moves = [[(x, t) for x, t in enumerate(row) if live[t]] if live[s] else []
-             for s, row in enumerate(delta)]  # a dead state is never entered
-    return ([0] if live[0] else []), moves
+    delta, r0 = S._automaton(k)
+    return ([0] if r0 < 0 else []), [[(x, t) for x, t in enumerate(row) if t >= 0] for row in delta]
 
 
 def _irr_levels(S: RuleSet, d: int, k: int):
@@ -331,18 +343,21 @@ def irr_words(S: RuleSet, d: int, alphabet: Alphabet | None = None) -> list[Word
 
 
 def irr_counts(S: RuleSet, d: int, alphabet: Alphabet | None = None) -> list[int]:
-    """Irr(S)'s word count per length 0..d: live paths counted, no word built."""
+    """Irr(S)'s word count per length 0..d: live paths counted over the
+    automaton's rows, no word built."""
     if d < 0:
         raise ValueError("degree bound must be >= 0")
-    start, moves = _live_moves(S, len(S.query_alphabet(alphabet)))
-    ends = [len(start)] + [0] * (len(moves) - 1)
+    delta, _ = S._automaton(len(S.query_alphabet(alphabet)))
+    # per live state, the paths ending there; the unit ideal has no state
+    ends = [1] + [0] * (len(delta) - 1) if delta else []
     counts = []
     for _ in range(d + 1):
         counts.append(sum(ends))
-        nxt = [0] * len(moves)
-        for s, c in enumerate(ends):
+        nxt = [0] * len(delta)
+        for row, c in zip(delta, ends):
             if c:
-                for _, t in moves[s]:
-                    nxt[t] += c
+                for t in row:
+                    if t >= 0:
+                        nxt[t] += c
         ends = nxt
     return counts

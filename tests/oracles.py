@@ -219,6 +219,36 @@ def brute_leftmost_match(letters: tuple[int, ...], S):
     return None
 
 
+def reference_rewrite_word(letters: tuple[int, ...], S):
+    """(normal form letters or None, rewrites): rewrite_word's stack rewriter
+    with a brute-force suffix scan over S.active and S.leads in place of the
+    lead automaton.  After each pushed letter the longest active lead that
+    ends the stack, lowest index first, is popped and the rule's first tail
+    word is read again; a monomial rule, or an active empty lead, gives None."""
+    active = list(S.active)
+    if any(not S.leads[i] for i in active):
+        return None, 0
+    todo = list(reversed(letters))
+    out: list[int] = []
+    rewrites = 0
+    while todo:
+        out.append(todo.pop())
+        hits = [
+            (-len(S.leads[i]), i)
+            for i in active
+            if len(S.leads[i]) <= len(out) and tuple(out[len(out) - len(S.leads[i]) :]) == S.leads[i]
+        ]
+        if hits:
+            neg_len, r = min(hits)
+            rewrites += 1
+            del out[len(out) + neg_len :]
+            tail = S.tails[r][1]
+            if not tail:
+                return None, rewrites
+            todo.extend(reversed(tail[0]))
+    return tuple(out), rewrites
+
+
 def nested_lead(S):
     """(i, j) for active rules whose leads differ, lead i lying inside lead
     j, or None: on a set without such a pair brute_match and

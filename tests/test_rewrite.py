@@ -41,6 +41,7 @@ from oracles import (
     nested_lead,
     random_ideal_element,
     reference_reduce_with_steps,
+    reference_rewrite_word,
 )
 
 FEH = Alphabet(("f", "e", "h"))
@@ -138,6 +139,27 @@ class TestReduce:
             assert S.leftmost_match(lead.letters) is not None
 
 
+def seeded_lead_sets(rng):
+    """300 random monomial rule sets over 2 or 3 letters, with equal, empty
+    and retired leads; (k, S) is yielded after each add and its retire, if
+    any, so the caller's draws from rng interleave with the set's."""
+    for _ in range(300):
+        alphabet = rng.choice((AB, XYZ))
+        k = len(alphabet)
+        S = RuleSet()
+        for _ in range(rng.randint(1, 6)):
+            if S.leads and rng.random() < 0.2:
+                lead = rng.choice(S.leads)  # an equal lead
+            elif rng.random() < 0.05:
+                lead = ()
+            else:
+                lead = tuple(rng.randrange(k) for _ in range(rng.randint(1, 4)))
+            S.add(NcPolynomial.monomial(Word(alphabet, lead)))
+            if len(S.active) > 1 and rng.random() < 0.3:
+                S.retire(rng.choice(list(S.active)))
+            yield k, S
+
+
 class TestLeftmostMatch:
     """The automaton's first-to-end match against brute-force scans, on
     random sets with retired rules, equal leads and empty leads."""
@@ -145,31 +167,79 @@ class TestLeftmostMatch:
     def test_against_brute_force(self):
         rng = random.Random(7211)
         nested = flat = 0
-        for _ in range(300):
-            alphabet = rng.choice((AB, XYZ))
-            k = len(alphabet)
-            S = RuleSet()
-            for _ in range(rng.randint(1, 6)):
-                if S.leads and rng.random() < 0.2:
-                    lead = rng.choice(S.leads)  # an equal lead
-                elif rng.random() < 0.05:
-                    lead = ()
-                else:
-                    lead = tuple(rng.randrange(k) for _ in range(rng.randint(1, 4)))
-                S.add(NcPolynomial.monomial(Word(alphabet, lead)))
-                if len(S.active) > 1 and rng.random() < 0.3:
-                    S.retire(rng.choice(list(S.active)))
-                leads = [S.leads[i] for i in S.active]
-                flat_set = nested_lead(S) is None
-                for _ in range(10):
-                    letters = tuple(rng.randrange(k) for _ in range(rng.randint(0, 10)))
-                    got = S.leftmost_match(letters)
-                    assert got == brute_match(letters, S), (leads, letters)
-                    if flat_set:
-                        assert got == brute_leftmost_match(letters, S), (leads, letters)
-                flat += flat_set
-                nested += not flat_set
+        for k, S in seeded_lead_sets(rng):
+            leads = [S.leads[i] for i in S.active]
+            flat_set = nested_lead(S) is None
+            for _ in range(10):
+                letters = tuple(rng.randrange(k) for _ in range(rng.randint(0, 10)))
+                got = S.leftmost_match(letters)
+                assert got == brute_match(letters, S), (leads, letters)
+                if flat_set:
+                    assert got == brute_leftmost_match(letters, S), (leads, letters)
+            flat += flat_set
+            nested += not flat_set
         assert nested > 100 and flat > 100
+
+    def test_one_state_per_live_lead_prefix(self):
+        # the table's states are the distinct prefixes of active leads that
+        # contain no active lead, reached by walking each such prefix; every
+        # other transition names the rule brute_match finds at the word's end
+        sets = empty = nested = 0
+        for k, S in seeded_lead_sets(random.Random(7211)):
+            leads = [S.leads[i] for i in S.active]
+            live = {
+                u[:n] for u in leads for n in range(len(u) + 1)
+                if not any(u[s : s + len(v)] == v for v in leads for s in range(n - len(v) + 1))
+            }
+            delta, r0 = S._automaton(k)
+            assert r0 == min((i for i in S.active if not S.leads[i]), default=-1)
+            assert len(delta) == len(live), leads
+            assert all(len(row) == k for row in delta)
+            reached = {}
+            for u in live:
+                s = 0
+                for x in u:
+                    s = delta[s][x]
+                reached[s] = u
+            assert sorted(reached) == list(range(len(delta))), leads
+            for s, u in reached.items():
+                for x in range(k):
+                    t = delta[s][x]
+                    if t < 0:
+                        assert brute_match(u + (x,), S) == (len(u) + 1 - len(S.leads[~t]), ~t), (leads, u, x)
+                    else:
+                        assert brute_match(u + (x,), S) is None, (leads, u, x)
+            sets += 1
+            empty += r0 >= 0
+            nested += nested_lead(S) is not None
+        assert sets > 1000 and empty > 20 and nested > 100
+
+    def test_table_built_once_per_basis(self, monkeypatch):
+        builds = []
+        build = RuleSet._automaton
+
+        def counted(self, k):
+            if self._automaton_cache is None:
+                builds.append(self)
+            return build(self, k)
+
+        monkeypatch.setattr(RuleSet, "_automaton", counted)
+        p = catalog("chinese-3")
+        res = complete_presentation(p)
+        S = res.basis
+        builds.clear()
+        rng = random.Random(7213)
+        for _ in range(200):
+            normal_form_word(Word(p.alphabet, [rng.randrange(3) for _ in range(rng.randint(0, 40))]), res)
+        assert builds == [S]
+        table = S._automaton_cache
+        assert table is not None
+        S.retire(0)
+        assert S._automaton_cache is None
+        S.add(S[0])
+        assert S._automaton_cache is None
+        normal_form_word(p.alphabet.word("c b a"), res)
+        assert builds == [S, S] and S._automaton_cache is not table
 
     def test_nested_lead_remainder(self):
         # c*a*b contains the lead a: the first match to end rewrites the a
@@ -479,6 +549,26 @@ def assert_agrees_up_to(S, alphabet, max_len):
             assert rewrite_word(w.letters, S) == reduced_letters(w.letters, S, alphabet), w
 
 
+def _retired(rules, *idxs):
+    S = RuleSet(rules)
+    for i in idxs:
+        S.retire(i)
+    return S
+
+
+EQUAL_LEADS = [parse_poly("y*x - x*y", AB), parse_poly("y*x - x*x", AB), parse_poly("y*y - x", AB)]
+EMPTY_LEAD = [parse_poly("x*y - y", AB), NcPolynomial.one(AB)]
+# the sets of TestRewriteWordAgainstReduce that are not catalog bases
+SPECIAL_WORD_SETS = {
+    "equal-leads": lambda: RuleSet(EQUAL_LEADS),
+    "equal-leads-retired": lambda: _retired(EQUAL_LEADS, 2),
+    "equal-lead-retired": lambda: _retired(EQUAL_LEADS[:2], 0),
+    "monomial": lambda: shirshov_complete([parse_poly("x*y", AB)]).basis,
+    "empty-lead": lambda: RuleSet(EMPTY_LEAD),
+    "empty-lead-retired": lambda: _retired(EMPTY_LEAD, 1),
+}
+
+
 class TestRewriteWordAgainstReduce:
     """The stack rewriter must reach the classical reduction's normal form."""
 
@@ -504,7 +594,7 @@ class TestRewriteWordAgainstReduce:
 
     def test_equal_leads_and_retired_rules(self):
         # a lead rewrites by its lowest active rule index, as in leftmost_match
-        rules = [parse_poly("y*x - x*y", AB), parse_poly("y*x - x*x", AB), parse_poly("y*y - x", AB)]
+        rules = EQUAL_LEADS
         S = RuleSet(rules)
         assert rewrite_word((1, 0), S) == (0, 1)
         S.retire(2)
@@ -522,7 +612,7 @@ class TestRewriteWordAgainstReduce:
         assert_agrees_up_to(S, AB, 6)
 
     def test_empty_lead_absorbs_every_word(self):
-        S = RuleSet([parse_poly("x*y - y", AB), NcPolynomial.one(AB)])
+        S = RuleSet(EMPTY_LEAD)
         assert rewrite_word((), S) is None
         assert_agrees_up_to(S, AB, 4)
         S.retire(1)
@@ -538,6 +628,34 @@ class TestRewriteWordStepCap:
             rewrite_word((1, 1, 0, 0), S)
         monkeypatch.setenv("GS_MAX_STEPS", "2")
         assert rewrite_word((1, 1, 0, 0), S) == ()
+
+
+class TestRewriteWordAgainstReference:
+    """rewrite_word against the stack rewriter with brute-force suffix scans:
+    the same letters, and exactly the reference's rewrites under GS_MAX_STEPS."""
+
+    @pytest.mark.parametrize("name", WORD_BASES + tuple(SPECIAL_WORD_SETS))
+    def test_seeded_words(self, name, monkeypatch):
+        if name in SPECIAL_WORD_SETS:
+            alphabet, S = AB, SPECIAL_WORD_SETS[name]()
+        else:
+            alphabet, S = word_basis(name)
+        rng = random.Random(5011)
+        total = 0
+        for n in [0, 128] + [rng.randint(0, 128) for _ in range(30)]:
+            letters = tuple(rng.randrange(len(alphabet)) for _ in range(n))
+            want, rewrites = reference_rewrite_word(letters, S)
+            monkeypatch.delenv("GS_MAX_STEPS", raising=False)
+            assert rewrite_word(letters, S) == want, letters
+            if rewrites:
+                monkeypatch.setenv("GS_MAX_STEPS", str(rewrites))
+                assert rewrite_word(letters, S) == want, letters
+            if rewrites > 1:
+                monkeypatch.setenv("GS_MAX_STEPS", str(rewrites - 1))
+                with pytest.raises(StepLimitExceeded):
+                    rewrite_word(letters, S)
+            total += rewrites
+        assert total > 0 or name == "empty-lead"
 
 
 def _random_poly(rng, alphabet, max_deg=4, field=Fraction):
