@@ -32,8 +32,6 @@ from .complete import (
 )
 from .lie import (
     PbwMonomial,
-    StructureTable,
-    from_structure_constants,
     is_alsw,
     lie_gs_check,
     lsw_bracket,
@@ -82,8 +80,6 @@ __all__ = [
     "nlsw_decompose",
     "PbwMonomial",
     "pbw_basis",
-    "StructureTable",
-    "from_structure_constants",
     "lie_gs_check",
     "Presentation",
     "parse_presentation",

@@ -134,66 +134,6 @@ class PbwMonomial:
         return "·".join(str(f) for f in self.factors)
 
 
-@dataclass(frozen=True)
-class StructureTable:
-    """Multiplication table [x_i, x_j] = sum_t c x_t for i > j (0-based indices).
-
-    Only i > j is stored; antisymmetry and [x_i, x_i] = 0 are structural.
-    """
-
-    dimension: int
-    constants: tuple[tuple[tuple[int, int, int], Scalar], ...]  # ((i, j, t), c)
-
-    @staticmethod
-    def from_dict(dimension: int, table: dict) -> "StructureTable":
-        items = []
-        for (i, j), combo in sorted(table.items()):
-            if not 0 <= j < i < dimension:
-                raise ValueError("table entries need dimension > i > j >= 0")
-            for t, c in sorted(combo.items()):
-                if not 0 <= t < dimension:
-                    raise ValueError("target index out of range")
-                if c != 0:
-                    items.append(((i, j, t), c))
-        return StructureTable(dimension, tuple(items))
-
-    def bracket(self, i: int, j: int) -> dict[int, Scalar]:
-        out: dict[int, Scalar] = {}
-        sign = 1
-        if i == j:
-            return {}
-        if i < j:
-            i, j, sign = j, i, -1
-        for (a, b, t), c in self.constants:
-            if (a, b) == (i, j):
-                out[t] = sign * c
-        return out
-
-
-def from_structure_constants(table: StructureTable, names) -> list[NcPolynomial]:
-    """Defining relations of the enveloping algebra of a multiplication table.
-
-    For each i > j, the expansion x_i x_j - x_j x_i - sum_t c x_t of the Lie relation
-    [x_i, x_j] - sum_t c x_t; with precedence from declaration order its lead is x_i x_j.
-    """
-    names = tuple(names)
-    if len(names) != table.dimension:
-        raise ValueError("need one name per table dimension")
-    alphabet = Alphabet(names)
-    one = next((type(c)(1) for _, c in table.constants), 1)  # in the constants' field
-    out = []
-    for i in range(table.dimension):
-        for j in range(i):
-            xi = LieTerm.leaf(alphabet, i)
-            xj = LieTerm.leaf(alphabet, j)
-            combo: dict[LieTerm, Scalar] = {LieTerm.bracket(xi, xj): one}
-            for t, c in table.bracket(i, j).items():
-                leaf = LieTerm.leaf(alphabet, t)
-                combo[leaf] = combo.get(leaf, 0) - c
-            out.append(expand_bracket(combo))
-    return out
-
-
 def lie_gs_check(relations, max_degree: int | None = None):
     """GS verdict for Lie relations given by their associative expansions.
 

@@ -12,12 +12,18 @@ File format (line oriented, ``#`` comments)::
 Group presentations extend the alphabet with a primed inverse generator
 per declared generator (x' after all base generators) and add the two
 two-sided inverse relations.
+
+A ``lie`` file is a multiplication table over Q: each ``bracket x_i x_j``
+line gives [x_i, x_j] as a linear combination of the generators, and a
+bracket the file leaves out is 0.  Its relations are the expansions
+x_i·x_j - x_j·x_i - [x_i, x_j], one per pair i > j.  A table over GF(p)
+has no file syntax; build its relations with ``expand_bracket`` on
+``LieTerm`` combinations with ``prime_field(p)`` coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complete import (
     CappedCompletionError,
@@ -26,7 +32,6 @@ from .complete import (
     STATUS_COMPLETE,
     shirshov_complete,
 )
-from .lie import StructureTable, from_structure_constants
 from .ncpoly import NAME, NcPolynomial, PolyParseError, parse_poly
 from .rewrite import RuleSet, irr_counts, rewrite_word
 from .words import Alphabet, Word, _trusted_word, deglex_key
@@ -72,24 +77,24 @@ class Presentation:
     kind: str
     alphabet: Alphabet
     relations: tuple  # kind-specific, see to_algebra_relations
-    table: StructureTable | None = None
-    base_generators: tuple[str, ...] = ()
+
+    @property
+    def base_generators(self) -> tuple[str, ...]:
+        """The declared generators: a group's alphabet is them, then their inverses."""
+        symbols = self.alphabet.symbols
+        return symbols[: len(symbols) // 2] if self.kind == "group" else symbols
 
     def source(self) -> str:
         """Render back to the presentation file format."""
         lines = [f"kind: {self.kind}"]
-        gens = self.base_generators or self.alphabet.symbols
-        lines.append("generators: " + " ".join(gens))
+        lines.append("generators: " + " ".join(self.base_generators))
         lines.append("relations:")
         if self.kind == "algebra":
             for f in self.relations:
                 lines.append(f"  {f}")
         elif self.kind == "lie":
-            for (i, j), combo in self.relations:
-                rhs = _render_linear(self.alphabet, combo)
-                lines.append(
-                    f"  bracket {self.alphabet.symbols[i]} {self.alphabet.symbols[j]} = {rhs}"
-                )
+            for (i, j), rhs in self.relations:
+                lines.append(f"  bracket {self.alphabet.symbols[i]} {self.alphabet.symbols[j]} = {rhs}")
         else:
             for u, v in self.relations:
                 lines.append(f"  {_word_src(u)} = {_word_src(v)}")
@@ -98,11 +103,6 @@ class Presentation:
 
 def _word_src(w: Word) -> str:
     return " ".join(w.names()) if len(w) else "1"
-
-
-def _render_linear(alphabet: Alphabet, combo: dict[int, Fraction]) -> str:
-    terms = {Word(alphabet, (t,)): c for t, c in combo.items()}
-    return str(NcPolynomial(alphabet, terms))
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,10 @@ def parse_presentation(text: str) -> Presentation:
                 rels.append(parse_poly(line, alphabet))
             except (PolyParseError, KeyError) as exc:
                 raise PresentationError(exc.args[0], lineno) from exc
-        return Presentation(kind, alphabet, tuple(rels), base_generators=base)
+        return Presentation(kind, alphabet, tuple(rels))
 
     if kind == "lie":
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        table: dict[tuple[int, int], NcPolynomial] = {}
         for lineno, line in relation_lines:
             parts = line.split("=", 1)
             if len(parts) != 2 or not parts[1].strip():
@@ -194,26 +194,16 @@ def parse_presentation(text: str) -> Presentation:
                 raise PresentationError(
                     "left side must list the precedence-greater generator first", lineno
                 )
-            rhs = parts[1].strip()
-            combo: dict[int, Fraction] = {}
-            if rhs != "0":
-                try:
-                    poly = parse_poly(rhs, alphabet)
-                except (PolyParseError, KeyError) as exc:
-                    raise PresentationError(exc.args[0], lineno) from exc
-                for w, c in poly.terms.items():
-                    if len(w) != 1:
-                        raise PresentationError(
-                            "bracket right side must be linear in the generators", lineno
-                        )
-                    combo[w.letters[0]] = c
+            try:
+                rhs = parse_poly(parts[1], alphabet)
+            except (PolyParseError, KeyError) as exc:
+                raise PresentationError(exc.args[0], lineno) from exc
+            if any(n != 1 for n, _ in rhs.ints):
+                raise PresentationError("bracket right side must be linear in the generators", lineno)
             if (i, j) in table:
                 raise PresentationError("duplicate bracket entry", lineno)
-            table[(i, j)] = combo
-        st = StructureTable.from_dict(len(alphabet), table)
-        return Presentation(
-            kind, alphabet, tuple(sorted(table.items())), table=st, base_generators=base
-        )
+            table[(i, j)] = rhs
+        return Presentation(kind, alphabet, tuple(sorted(table.items())))
 
     # monoid / group: word = word
     rels = []
@@ -227,7 +217,7 @@ def parse_presentation(text: str) -> Presentation:
         except KeyError as exc:
             raise PresentationError(exc.args[0], lineno) from exc
         rels.append((u, v))
-    return Presentation(kind, alphabet, tuple(rels), base_generators=base)
+    return Presentation(kind, alphabet, tuple(rels))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +229,14 @@ def to_algebra_relations(p: Presentation) -> list[NcPolynomial]:
     if p.kind == "algebra":
         return list(p.relations)
     if p.kind == "lie":
-        return from_structure_constants(p.table, p.alphabet.symbols)
+        # [x_i, x_j] = rhs for i > j expands to x_i x_j - x_j x_i - rhs, lead x_i x_j
+        A = p.alphabet
+        minus_rhs = {ij: {w: -c for w, c in rhs.terms.items()} for ij, rhs in p.relations}
+        return [
+            NcPolynomial(A, {_trusted_word(A, (i, j)): 1, _trusted_word(A, (j, i)): -1, **minus_rhs.get((i, j), {})})
+            for i in range(len(A))
+            for j in range(i)
+        ]
     pairs = list(p.relations)
     if p.kind == "group":
         n = len(p.base_generators)

@@ -13,7 +13,7 @@ from functools import cmp_to_key
 
 from shirshov import Alphabet, NcPolynomial, Word, mul_bounded
 from shirshov.complete import CompletionResult
-from shirshov.lie import PbwMonomial, from_structure_constants
+from shirshov.lie import PbwMonomial
 from shirshov.rewrite import RuleSet, irr_words
 from shirshov.words import AlphabetMismatchError, deglex_key
 
@@ -390,22 +390,73 @@ def product_series(lengths, d: int) -> list[int]:
 
 def reference_algebra_relations(p):
     """A presentation's polynomial relations by polynomial arithmetic: u - v per
-    word relation, and x·x' - 1 and x'·x - 1 per group generator, each made
-    monic, the zero ones dropped; algebra and Lie kinds as the library reads them."""
+    word relation, x·x' - 1 and x'·x - 1 per group generator, and
+    x_i·x_j - x_j·x_i - [x_i, x_j] per Lie pair i > j, an omitted bracket 0,
+    each made monic, the zero ones dropped; the algebra kind as the library reads it."""
     if p.kind == "algebra":
         return list(p.relations)
+    A = p.alphabet
     if p.kind == "lie":
-        return from_structure_constants(p.table, p.alphabet.symbols)
-    rels = [NcPolynomial.monomial(u) - NcPolynomial.monomial(v) for u, v in p.relations]
+        table = dict(p.relations)
+        rels = [
+            NcPolynomial.monomial(Word(A, (i, j)))
+            - NcPolynomial.monomial(Word(A, (j, i)))
+            - table.get((i, j), NcPolynomial.zero(A))
+            for i in range(len(A))
+            for j in range(i)
+        ]
+    else:
+        rels = [NcPolynomial.monomial(u) - NcPolynomial.monomial(v) for u, v in p.relations]
     if p.kind == "group":
-        n = len(p.base_generators)
-        one = NcPolynomial.one(p.alphabet)
+        n = len(A) // 2
+        one = NcPolynomial.one(A)
         for g in range(n):
-            x = Word(p.alphabet, (g,))
-            xi = Word(p.alphabet, (g + n,))
+            x = Word(A, (g,))
+            xi = Word(A, (g + n,))
             rels.append(NcPolynomial.monomial(x * xi) - one)
             rels.append(NcPolynomial.monomial(xi * x) - one)
     return [f.monic() for f in rels if not f.is_zero()]
+
+
+def lie_source(names, table: dict) -> str:
+    """A kind: lie file for the multiplication table {(i, j): {t: c}}, i > j:
+    one bracket line per entry, in the table's order, an empty one as 0."""
+    lines = []
+    for (i, j), combo in table.items():
+        rhs = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{names[t]}" for t, c in combo.items() if c)
+        lines.append(f"  bracket {names[i]} {names[j]} = {rhs.removeprefix('+ ') or 0}\n")
+    return f"kind: lie\ngenerators: {' '.join(names)}\nrelations:\n" + "".join(lines)
+
+
+def jacobiator_vanishes(table: dict) -> bool:
+    """[[i,j],k] + [[j,k],i] + [[k,i],j] = 0 for every triple of generators,
+    computed on the multiplication table {(i, j): {t: c}}, i > j, itself:
+    [x_j, x_i] = -[x_i, x_j], and a pair the table leaves out brackets to 0."""
+
+    def bracket(i: int, j: int) -> dict:
+        if i < j:
+            return {t: -c for t, c in bracket(j, i).items()}
+        return table.get((i, j), {})
+
+    def bracket_combo(combo_i: dict, combo_j: dict) -> dict:
+        out: dict[int, Fraction] = {}
+        for i, ci in combo_i.items():
+            for j, cj in combo_j.items():
+                for t, c in bracket(i, j).items():
+                    out[t] = out.get(t, Fraction(0)) + ci * cj * c
+        return {t: c for t, c in out.items() if c != 0}
+
+    indices = {i for ij, combo in table.items() for i in (*ij, *combo)}
+    for i, j, k in itertools.combinations(sorted(indices), 3):
+        total: dict[int, Fraction] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = bracket(a, b)
+            outer = bracket_combo(inner, {c: Fraction(1)})
+            for t, v in outer.items():
+                total[t] = total.get(t, Fraction(0)) + v
+        if any(v != 0 for v in total.values()):
+            return False
+    return True
 
 
 class DictPoly:

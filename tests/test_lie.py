@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -6,22 +5,23 @@ import pytest
 
 from shirshov import (
     Alphabet,
+    LieTerm,
     NcPolynomial,
-    StructureTable,
     Word,
     catalog,
     complete_presentation,
     expand_bracket,
-    from_structure_constants,
     is_alsw,
     lie_gs_check,
     lsw_bracket,
     nlsw_decompose,
     parse_poly,
+    parse_presentation,
     pbw_basis,
     prime_field,
     shirshov_complete,
     shirshov_factorize,
+    to_algebra_relations,
 )
 from shirshov.lie import NotAlswError, NotLieElementError
 from shirshov.complete import CappedCompletionError, CompletionConfig
@@ -33,6 +33,8 @@ from oracles import (
     all_monotone_alsw_factorizations,
     all_words,
     alsw_census,
+    jacobiator_vanishes,
+    lie_source,
     necklace_count,
     product_series,
     reference_pbw_basis,
@@ -171,88 +173,60 @@ class TestNlswDecompose:
             assert nlsw_decompose(expand_bracket(combo)) == combo
 
 
-def sl2_table():
-    return StructureTable.from_dict(
-        3,
-        {
-            # generators f(0) e(1) h(2): [h,e]=2e, [h,f]=-2f, [e,f]=h
-            (2, 1): {1: Fraction(2)},
-            (2, 0): {0: Fraction(-2)},
-            (1, 0): {2: Fraction(1)},
-        },
-    )
+# generators f(0) e(1) h(2): [e,f] = h, [h,f] = -2f, [h,e] = 2e, as catalog sl2 reads
+SL2_TABLE = {(1, 0): {2: 1}, (2, 0): {0: -2}, (2, 1): {1: 2}}
+# [x,y] = x, [y,z] = y, [x,z] = 0 with x(0) < y(1) < z(2)
+NON_JACOBI_TABLE = {(1, 0): {0: -1}, (2, 1): {1: -1}, (2, 0): {}}
 
 
-def non_jacobi_table():
-    # [x,y] = x, [y,z] = y, [x,z] = 0 with x(0) < y(1) < z(2)
-    return StructureTable.from_dict(
-        3,
-        {
-            (1, 0): {0: Fraction(-1)},  # [y,x] = -[x,y] = -x
-            (2, 1): {1: Fraction(-1)},  # [z,y] = -y
-            (2, 0): {},
-        },
-    )
+def lie_relations(names, table):
+    return to_algebra_relations(parse_presentation(lie_source(names, table)))
+
+
+def sl2_relations():
+    return to_algebra_relations(catalog("sl2"))
 
 
 class TestStructureConstants:
     def test_sl2_transcription(self):
-        rels = from_structure_constants(sl2_table(), ("f", "e", "h"))
-        polys = {str(f) for f in rels}
-        assert polys == {
+        assert lie_relations(("f", "e", "h"), SL2_TABLE) == sl2_relations()
+        assert [str(f) for f in sl2_relations()] == [
             "e*f - f*e - h",
-            "h*e - e*h - 2*e",
             "h*f - f*h + 2*f",
-        }
+            "h*e - e*h - 2*e",
+        ]
 
     def test_sl2_over_a_prime_field(self):
-        # the GF(7) table expands to the Q expansion mod 7, in GF(7) alone,
-        # and the Lie GS check runs on it
+        # a table over GF(7) has no file syntax: expand_bracket builds its
+        # relations, the Q expansion mod 7 in GF(7) alone, and the Lie GS
+        # check runs on them
         GF7 = prime_field(7)
-        q = sl2_table()
-        gf = StructureTable(q.dimension, tuple((k, GF7(c.numerator)) for k, c in q.constants))
-        names = ("f", "e", "h")
-        over_q = from_structure_constants(q, names)
-        over_gf = from_structure_constants(gf, names)
+        x = [LieTerm.leaf(FEH, t) for t in range(3)]
+        over_gf = [
+            expand_bracket({LieTerm.bracket(x[i], x[j]): GF7(1), **{x[t]: GF7(-c) for t, c in combo.items()}})
+            for (i, j), combo in SL2_TABLE.items()
+        ]
         assert [f.terms for f in over_gf] == [
-            {w: GF7(c.numerator) for w, c in f.terms.items()} for f in over_q
+            {w: GF7(c.numerator) for w, c in f.terms.items()} for f in sl2_relations()
         ]
         assert {type(c) for f in over_gf for c in f.terms.values()} == {GF7}
         assert lie_gs_check(over_gf) == (True, [])
 
     def test_dimension_one(self):
-        assert from_structure_constants(StructureTable.from_dict(1, {}), ("x",)) == []
+        assert to_algebra_relations(parse_presentation("kind: lie\ngenerators: x\nrelations:\n")) == []
 
     def test_abelian_two(self):
-        rels = from_structure_constants(StructureTable.from_dict(2, {}), ("x", "y"))
+        rels = to_algebra_relations(parse_presentation("kind: lie\ngenerators: x y\nrelations:\n"))
         assert [str(f) for f in rels] == ["y*x - x*y"]
-
-    def test_rejections(self):
-        for table, message in (
-            ({(0, 1): {0: 1}}, "table entries need dimension > i > j >= 0"),
-            ({(2, 0): {0: 1}}, "table entries need dimension > i > j >= 0"),
-            ({(1, 0): {2: 1}}, "target index out of range"),
-        ):
-            with pytest.raises(ValueError, match=message):
-                StructureTable.from_dict(2, table)
-        with pytest.raises(ValueError, match="need one name per table dimension"):
-            from_structure_constants(sl2_table(), ("f", "e"))
-
-    def test_antisymmetry_structural(self):
-        t = sl2_table()
-        assert t.bracket(1, 2) == {1: Fraction(-2)}
-        assert t.bracket(1, 1) == {}
 
 
 class TestLieGsCheck:
     def test_sl2_is_gs(self):
-        rels = from_structure_constants(sl2_table(), ("f", "e", "h"))
-        ok, certs = lie_gs_check(rels)
+        ok, certs = lie_gs_check(sl2_relations())
         assert ok and certs == []
 
     def test_non_jacobi_fails_with_residue(self):
-        rels = from_structure_constants(non_jacobi_table(), ("x", "y", "z"))
-        ok, certs = lie_gs_check(rels)
+        ok, certs = lie_gs_check(lie_relations(("x", "y", "z"), NON_JACOBI_TABLE))
         assert not ok
         residues = {str(rec.residue) for rec in certs}
         assert residues & {"x", "-x"}
@@ -266,34 +240,10 @@ class TestLieGsCheck:
             lie_gs_check([parse_poly("a*b", BA)])
 
 
-def jacobiator_vanishes(table: StructureTable) -> bool:
-    """Direct oracle: [[i,j],k] + [[j,k],i] + [[k,i],j] = 0 via the table."""
-    n = table.dimension
-
-    def bracket_combo(combo_i: dict, combo_j: dict) -> dict:
-        out: dict[int, Fraction] = {}
-        for i, ci in combo_i.items():
-            for j, cj in combo_j.items():
-                for t, c in table.bracket(i, j).items():
-                    out[t] = out.get(t, Fraction(0)) + ci * cj * c
-        return {t: c for t, c in out.items() if c != 0}
-
-    for i, j, k in itertools.combinations(range(n), 3):
-        total: dict[int, Fraction] = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = table.bracket(a, b)
-            outer = bracket_combo(inner, {c: Fraction(1)})
-            for t, v in outer.items():
-                total[t] = total.get(t, Fraction(0)) + v
-        if any(v != 0 for v in total.values()):
-            return False
-    return True
-
-
 class TestJacobiEquivalence:
     def test_sl2_and_non_jacobi(self):
-        assert jacobiator_vanishes(sl2_table())
-        assert not jacobiator_vanishes(non_jacobi_table())
+        assert jacobiator_vanishes(SL2_TABLE)
+        assert not jacobiator_vanishes(NON_JACOBI_TABLE)
 
     def test_random_tables(self):
         rng = random.Random(79)
@@ -309,10 +259,8 @@ class TestJacobiEquivalence:
                         if c:
                             combo[t] = Fraction(c)
                     table[(i, j)] = combo
-            st = StructureTable.from_dict(n, table)
-            rels = from_structure_constants(st, names[:n])
-            ok, _ = lie_gs_check(rels)
-            assert ok == jacobiator_vanishes(st)
+            ok, _ = lie_gs_check(lie_relations(names[:n], table))
+            assert ok == jacobiator_vanishes(table)
 
 
 class TestPbwBasis:
@@ -332,8 +280,7 @@ class TestPbwBasis:
                 assert by_deg.get(d, 0) == k**d
 
     def test_sl2_degree_two(self):
-        rels = from_structure_constants(sl2_table(), ("f", "e", "h"))
-        res = shirshov_complete(rels)
+        res = shirshov_complete(sl2_relations())
         out = pbw_basis(res, 2, FEH)
         deg2 = [str(m) for m in out if m.degree == 2]
         assert sorted(deg2) == sorted(
@@ -341,15 +288,13 @@ class TestPbwBasis:
         )
 
     def test_foreign_alphabet_rejected(self):
-        rels = from_structure_constants(sl2_table(), ("f", "e", "h"))
-        res = shirshov_complete(rels)
+        res = shirshov_complete(sl2_relations())
         with pytest.raises(AlphabetMismatchError):
             pbw_basis(res, 2, ABC)
         assert pbw_basis(res, 2, Alphabet(("f", "e", "h"))) == pbw_basis(res, 2)
 
     def test_rule_set_certified_elsewhere(self):
-        rels = from_structure_constants(sl2_table(), ("f", "e", "h"))
-        res = shirshov_complete(rels)
+        res = shirshov_complete(sl2_relations())
         assert len(pbw_basis(res.basis, 3)) == 1 + 3 + 6 + 10
         assert pbw_basis(res.basis, 3) == pbw_basis(res, 3)
 

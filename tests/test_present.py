@@ -9,6 +9,7 @@ import pytest
 from shirshov import (
     Alphabet,
     NcPolynomial,
+    Presentation,
     Word,
     ZERO,
     catalog,
@@ -118,7 +119,11 @@ class TestParsePresentation:
     def test_sl2_lie(self):
         p = catalog("sl2")
         assert p.kind == "lie"
-        assert p.table.dimension == 3
+        assert [str(f) for f in to_algebra_relations(p)] == [
+            "e*f - f*e - h",
+            "h*f - f*h + 2*f",
+            "h*e - e*h - 2*e",
+        ]
 
     def test_malformed_relation(self):
         with pytest.raises(PresentationError) as exc:
@@ -252,6 +257,31 @@ def _seeded_word_presentations(seen=None):
     return out
 
 
+def _seeded_lie_presentations(seen=None):
+    """30 random Lie multiplication tables over 2-4 generators, in shuffled
+    line order, counting in seen the brackets left out, written 0 and given a
+    linear right side."""
+    seen = Counter() if seen is None else seen
+    rng = random.Random(20261020)
+    out = []
+    for _ in range(30):
+        gens = "wxyz"[: rng.randint(2, 4)]
+        lines = []
+        for i in range(len(gens)):
+            for j in range(i):
+                r = rng.random()
+                if r < 0.3:
+                    seen["omitted"] += 1
+                    continue
+                terms = [] if r < 0.5 else rng.sample(range(len(gens)), rng.randint(1, len(gens)))
+                rhs = " ".join(f"{rng.choice('+-')} {rng.choice(['1', '2', '1/2', '3/4'])}*{gens[t]}" for t in terms)
+                seen["linear" if terms else "written 0"] += 1
+                lines.append(f"  bracket {gens[i]} {gens[j]} = {rhs or 0}\n")
+        rng.shuffle(lines)
+        out.append(parse_presentation(f"kind: lie\ngenerators: {' '.join(gens)}\nrelations:\n" + "".join(lines)))
+    return out
+
+
 class TestToAlgebraRelations:
     def test_bicyclic(self):
         p = parse_presentation(BICYCLIC_SRC)
@@ -271,15 +301,35 @@ class TestToAlgebraRelations:
 
     def test_matches_polynomial_arithmetic(self):
         # each binomial, built at once with its deg-lex greater side monic, is
-        # the polynomial u - v made monic, in the same order, u = u dropped
+        # the polynomial u - v made monic, in the same order, u = u dropped;
+        # each Lie relation is x_i·x_j - x_j·x_i - [x_i, x_j] for i > j in order
         def terms(rels):
             return [(f.alphabet, [(w, type(c), c) for w, c in f.terms.items()]) for f in rels]
 
         seen = Counter()
-        presentations = [catalog(name) for name in CATALOG_NAMES] + _seeded_word_presentations(seen)
+        presentations = (
+            [catalog(name) for name in CATALOG_NAMES]
+            + _seeded_word_presentations(seen)
+            + _seeded_lie_presentations(seen)
+        )
         for p in presentations:
             assert terms(to_algebra_relations(p)) == terms(reference_algebra_relations(p)), p.source()
-        assert min(seen.values()) > 10, seen
+        assert len(seen) == 6 and min(seen.values()) > 10, seen
+
+    def test_group_built_directly(self):
+        # the declared generators are the first half of a group's alphabet
+        A = Alphabet(("a", "a'"))
+        p = Presentation("group", A, ((A.word("a a"), A.empty()),))
+        assert p.base_generators == ("a",)
+        assert [str(f) for f in to_algebra_relations(p)] == ["a*a - 1", "a*a' - 1", "a'*a - 1"]
+        assert p.source() == "kind: group\ngenerators: a\nrelations:\n  a a = 1\n"
+        assert parse_presentation(p.source()) == p
+
+    def test_omitted_brackets_are_zero(self):
+        src = "kind: lie\ngenerators: x y z\nrelations:\n  bracket y x = z\n"
+        p = parse_presentation(src)
+        assert to_algebra_relations(p) == to_algebra_relations(catalog("heisenberg-3"))
+        assert p.source() == src
 
     def test_one_polynomial_per_relation(self, monkeypatch):
         p = parse_presentation("kind: group\ngenerators: a b\nrelations:\n  a a = 1\n  b = b\n  1 = a b a b\n")
