@@ -110,9 +110,12 @@ def nlsw_decompose(f: NcPolynomial) -> dict[LieTerm, Scalar]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PbwMonomial:
-    """A non-decreasing product of ALSW factors."""
+    """A non-decreasing product of ALSW factors.
+
+    ``pbw_basis`` builds its monomials through the slot setter, not ``__init__``.
+    """
 
     factors: tuple[Word, ...]
 
@@ -132,6 +135,10 @@ class PbwMonomial:
         if not self.factors:
             return "1"
         return "·".join(str(f) for f in self.factors)
+
+
+# the slot setter, which a frozen PbwMonomial's __setattr__ does not reach
+_set_factors = PbwMonomial.factors.__set__
 
 
 def lie_gs_check(relations, max_degree: int | None = None):
@@ -184,25 +191,38 @@ def pbw_basis(S, d: int, alphabet: Alphabet | None = None) -> list[PbwMonomial]:
     # greater; in this order the non-decreasing factor sequences are the
     # index-ordered runs
     atoms.sort(key=lambda t: t + (k,))
-    words = [_trusted_word(alphabet, t) for t in atoms]
-    by_len: dict[int, list[int]] = {}
+    # A monomial's key is its concatenation's letters + 1 read as the digits
+    # of a base-(k + 1) number; an atom u extends it to key·(k+1)^|u| + code(u).
+    # A longer word gets a larger key and equal lengths compare lex, so the
+    # key alone is the (degree, deg-lex) order. The factorization into
+    # non-decreasing ALSWs is unique, so keys never tie and the sort never
+    # reaches the factors.
+    groups: dict[int, tuple[list[int], list]] = {}  # length -> (indices, (index, word, code))
     for i, t in enumerate(atoms):
-        by_len.setdefault(len(t), []).append(i)
-    # (degree, concatenated letters, factors). The factorization into
-    # non-decreasing ALSWs is unique, so the sort never reaches the factors.
-    found = [(0, (), ())]
-    stack = [(0, (), (), 0)]
+        code = 0
+        for x in t:
+            code = code * (k + 1) + x + 1
+        idxs, entries = groups.setdefault(len(t), ([], []))
+        idxs.append(i)
+        entries.append((i, _trusted_word(alphabet, t), code))
+    by_len = [(n, (k + 1) ** n, idxs, entries) for n, (idxs, entries) in sorted(groups.items())]
+    found = [(0, ())]  # (key, factors)
+    stack = [(0, 0, (), 0)]  # (degree, key, factors, first atom index allowed)
     while stack:
-        degree, letters, factors, first = stack.pop()
-        for n, idxs in by_len.items():
-            if degree + n <= d:
-                for i in idxs[bisect_left(idxs, first):]:
-                    ext = (degree + n, letters + atoms[i], factors + (words[i],))
-                    found.append(ext)
-                    if ext[0] < d:
-                        stack.append(ext + (i,))
+        degree, key, factors, first = stack.pop()
+        for n, shift, idxs, entries in by_len:
+            if (total := degree + n) > d:
+                break
+            base = key * shift
+            for i, u, code in entries[bisect_left(idxs, first):]:
+                ext = factors + (u,)
+                found.append((base + code, ext))
+                if total < d:
+                    stack.append((total, base + code, ext, i))
     found.sort()
     # in place, so each entry's key is freed as its monomial is built
-    for i, (_, _, factors) in enumerate(found):
-        found[i] = PbwMonomial(factors)
+    new = object.__new__
+    for i, (_, factors) in enumerate(found):
+        found[i] = mono = new(PbwMonomial)
+        _set_factors(mono, factors)
     return found

@@ -16,7 +16,9 @@ two-sided inverse relations.
 A ``lie`` file is a multiplication table over Q: each ``bracket x_i x_j``
 line gives [x_i, x_j] as a linear combination of the generators, and a
 bracket the file leaves out is 0.  Its relations are the expansions
-x_i·x_j - x_j·x_i - [x_i, x_j], one per pair i > j.  A table over GF(p)
+x_i·x_j - x_j·x_i - [x_i, x_j], one per pair i > j.  A ``Presentation``
+built directly stores the table as ((i, j), rhs) entries and is held to
+the file's rules by its constructor.  A table over GF(p)
 has no file syntax; build its relations with ``expand_bracket`` on
 ``LieTerm`` combinations with ``prime_field(p)`` coefficients.
 """
@@ -78,6 +80,10 @@ class Presentation:
     alphabet: Alphabet
     relations: tuple  # kind-specific, see to_algebra_relations
 
+    def __post_init__(self):
+        if self.kind == "lie":
+            _check_brackets(self.alphabet, self.relations)
+
     @property
     def base_generators(self) -> tuple[str, ...]:
         """The declared generators: a group's alphabet is them, then their inverses."""
@@ -99,6 +105,28 @@ class Presentation:
             for u, v in self.relations:
                 lines.append(f"  {_word_src(u)} = {_word_src(v)}")
         return "\n".join(lines) + "\n"
+
+
+def _check_brackets(alphabet: Alphabet, relations: tuple) -> None:
+    """A lie presentation's entries keep the file's rules, or ValueError names the entry:
+    each is ((i, j), rhs) for alphabet indices i > j, each pair once, with rhs a
+    polynomial over the alphabet that is linear in the generators."""
+    seen = set()
+    for entry in relations:
+        try:
+            (i, j), rhs = entry
+        except (TypeError, ValueError):
+            raise ValueError(f"bracket entry {entry!r} is not ((i, j), rhs)") from None
+        name = f"bracket entry (({i!r}, {j!r}), {rhs})"
+        if not (isinstance(i, int) and isinstance(j, int) and 0 <= j < i < len(alphabet)):
+            raise ValueError(f"{name}: (i, j) must be alphabet indices with i > j")
+        if (i, j) in seen:
+            raise ValueError(f"{name}: duplicate bracket entry")
+        seen.add((i, j))
+        if not isinstance(rhs, NcPolynomial) or rhs.alphabet != alphabet:
+            raise ValueError(f"{name}: the right side must be a polynomial over the alphabet")
+        if any(n != 1 for n, _ in rhs.ints):
+            raise ValueError(f"{name}: the right side must be linear in the generators")
 
 
 def _word_src(w: Word) -> str:

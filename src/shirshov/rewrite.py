@@ -327,11 +327,16 @@ def _live_moves(S: RuleSet, k: int):
 def _irr_levels(S: RuleSet, d: int, k: int):
     """Irr(S) on letter tuples, one list per length 0..d, each in lex order."""
     start, moves = _live_moves(S, k)
-    level = [((), s) for s in start]  # (word, its automaton state) pairs
-    yield [w for w, _ in level]
-    for _ in range(d):
-        level = [(w + (x,), t) for w, s in level for x, t in moves[s]]
-        yield [w for w, _ in level]
+    # per state, its live moves as one-letter tuples and as target states
+    steps = [[(x,) for x, _ in row] for row in moves]
+    targets = [[t for _, t in row] for row in moves]
+    words, states = [() for _ in start], start  # parallel: each word's automaton state
+    yield words
+    for n in range(1, d + 1):
+        words = [w + x for w, s in zip(words, states) for x in steps[s]]
+        if n < d:  # the last level's states are never read
+            states = [t for s in states for t in targets[s]]
+        yield words
 
 
 def irr_words(S: RuleSet, d: int, alphabet: Alphabet | None = None) -> list[Word]:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from shirshov import (
     shirshov_factorize,
     to_algebra_relations,
 )
-from shirshov.lie import NotAlswError, NotLieElementError
+from shirshov.lie import NotAlswError, NotLieElementError, PbwMonomial
 from shirshov.complete import CappedCompletionError, CompletionConfig
 from shirshov import lie, rewrite
 from shirshov.rewrite import RuleSet
@@ -354,13 +355,31 @@ class TestPbwBasis:
         assert [m.factors for m in pbw_basis(S, d, alphabet)] == expected
 
 
+class TestPbwMonomial:
+    def test_frozen_hashable_value(self):
+        a, b = pbw_basis(None, 3, BA)[5], pbw_basis(None, 3, BA)[5]
+        assert a is not b and a.factors == b.factors
+        with pytest.raises(FrozenInstanceError):
+            a.factors = ()
+        assert a == b and hash(a) == hash(b)
+        assert PbwMonomial(b.factors) == a and hash(PbwMonomial(b.factors)) == hash(a)
+        assert len({a, b, PbwMonomial(a.factors)}) == 1
+        assert str(PbwMonomial(())) == "1"
+
+
 class TestPbwDifferential:
     @pytest.mark.parametrize(
-        "name, d", [("free-2", 9), ("free-3", 7), ("sl2", 12), ("heisenberg-3", 12)]
+        "name, d",
+        [
+            ("free-2", 9), ("free-3", 7), ("sl2", 12), ("heisenberg-3", 12),
+            # the sort keys: base 2 for one letter, base 6 for five, and past
+            # 2**60 for sl2 at degree 30 (4**30)
+            ("free-1", 20), ("free-5", 5), ("sl2", 30),
+        ],
     )
     def test_matches_reference_in_order(self, name, d):
         if name.startswith("free"):
-            S, alphabet = None, (BA if name == "free-2" else ABC)
+            S, alphabet = None, Alphabet(tuple("abcde"[: int(name[5:])]))
         else:
             S, alphabet = complete_presentation(catalog(name)), None
         assert pbw_basis(S, d, alphabet) == reference_pbw_basis(S, d, alphabet)

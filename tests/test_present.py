@@ -17,6 +17,7 @@ from shirshov import (
     growth_series,
     irr_words,
     normal_form_word,
+    parse_poly,
     parse_presentation,
     pbw_basis,
     prime_field,
@@ -324,6 +325,27 @@ class TestToAlgebraRelations:
         assert [str(f) for f in to_algebra_relations(p)] == ["a*a - 1", "a*a' - 1", "a'*a - 1"]
         assert p.source() == "kind: group\ngenerators: a\nrelations:\n  a a = 1\n"
         assert parse_presentation(p.source()) == p
+
+    def test_lie_built_directly_keeps_the_file_rules(self):
+        # an entry the parser would reject raises, naming the entry, instead
+        # of being dropped or overwritten or printed as an unparsable line
+        A = Alphabet(("x", "y", "z"))
+        x, z = parse_poly("x", A), parse_poly("z", A)
+        bad = [
+            ((((0, 1), z),), r"\(\(0, 1\), z\)"),
+            ((((1, 0), z), ((1, 0), x)), r"\(\(1, 0\), x\): duplicate"),
+            ((((1, 1), z),), r"\(\(1, 1\), z\)"),
+            ((((3, 0), z),), r"\(\(3, 0\), z\)"),
+            ((((1, 0), parse_poly("x*y", A)),), r"\(\(1, 0\), x\*y\): .* linear"),
+            ((((1, 0), parse_poly("x", Alphabet(("x", "y")))),), r"\(\(1, 0\), x\): .* over the alphabet"),
+            (((1, 0),), r"\(1, 0\) is not"),
+        ]
+        for relations, message in bad:
+            with pytest.raises(ValueError, match=message):
+                Presentation("lie", A, relations)
+        p = Presentation("lie", A, (((1, 0), z),))
+        assert parse_presentation(p.source()) == p
+        assert to_algebra_relations(p) == to_algebra_relations(catalog("heisenberg-3"))
 
     def test_omitted_brackets_are_zero(self):
         src = "kind: lie\ngenerators: x y z\nrelations:\n  bracket y x = z\n"
