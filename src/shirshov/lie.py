@@ -37,21 +37,21 @@ def is_alsw(u: Word) -> bool:
         raise ValueError("the empty word is not eligible")
     s, p = u.letters, 0
     for n, x in enumerate(s):
-        if not (p := _duval_step(s[:n], p, x)):
+        if not (p := _duval_step(s, 0, n, p, x)):
             return False
     return p == len(s)
 
 
-def _duval_step(w: tuple[int, ...], p: int, x: int) -> int:
-    """Duval's step, letter order flipped: w·x's period when it can start an ALSW, else 0.
+def _duval_step(s: tuple[int, ...], i: int, j: int, p: int, x: int) -> int:
+    """Duval's step, letter order flipped: the period of s[i:j]·x when it can start an ALSW, else 0.
 
-    p is w's period (0 when empty). A letter equal to the one p back keeps p;
-    a smaller one makes w·x an ALSW; a larger one starts no ALSW.
+    p is the period of s[i:j] (0 when empty). A letter equal to the one p back
+    keeps p; a smaller one makes s[i:j]·x an ALSW; a larger one starts no ALSW.
     """
-    if not w:
+    if i == j:
         return 1
-    y = w[-p]
-    return p if x == y else len(w) + 1 if x < y else 0
+    y = s[j - p]
+    return p if x == y else j - i + 1 if x < y else 0
 
 
 def shirshov_factorize(u: Word) -> list[Word]:
@@ -68,26 +68,25 @@ def shirshov_factorize(u: Word) -> list[Word]:
     factors: list[Word] = []
     i = 0
     while i < n:
-        j, k = i + 1, i
-        while j < n and s[k] >= s[j]:
-            k = i if s[k] > s[j] else k + 1
-            j += 1
-        while i <= k:
-            factors.append(u[i : i + j - k])
-            i += j - k
+        # s[i:j] is an ALSW of length p repeated, then a proper prefix of it
+        j, p = i + 1, 1
+        while j < n and (q := _duval_step(s, i, j, p, s[j])):
+            j, p = j + 1, q
+        while i + p <= j:
+            factors.append(u[i : i + p])
+            i += p
     return factors
 
 
 def lsw_bracket(u: Word) -> LieTerm:
-    """Standard bracketing of an ALSW: split off the longest proper ALSW suffix."""
+    """Standard bracketing of an ALSW: split off the longest proper ALSW suffix,
+    which is the last factor of u without its first letter."""
     if not is_alsw(u):
         raise NotAlswError(f"{u} is not an associative Lyndon-Shirshov word")
     if len(u) == 1:
         return LieTerm.leaf(u.alphabet, u.letters[0])
-    for cut in range(1, len(u)):
-        if is_alsw(u[cut:]):
-            return LieTerm.bracket(lsw_bracket(u[:cut]), lsw_bracket(u[cut:]))
-    raise AssertionError("an ALSW of length >= 2 always has a proper ALSW suffix")
+    cut = len(u) - len(shirshov_factorize(u[1:])[-1])
+    return LieTerm.bracket(lsw_bracket(u[:cut]), lsw_bracket(u[cut:]))
 
 
 def nlsw_decompose(f: NcPolynomial) -> dict[LieTerm, Scalar]:
@@ -185,7 +184,7 @@ def pbw_basis(S, d: int, alphabet: Alphabet | None = None) -> list[PbwMonomial]:
             atoms.append(w)
         if len(w) < d:
             for x, t in moves[s]:
-                if q := _duval_step(w, p, x):
+                if q := _duval_step(w, 0, len(w), p, x):
                     stack.append((w + (x,), q, t))
     # with a letter above every letter appended, a proper prefix compares
     # greater; in this order the non-decreasing factor sequences are the

@@ -135,6 +135,8 @@ class NcPolynomial:
     def __init__(self, alphabet: Alphabet, terms: Mapping[Word, Scalar] = ()):
         field, parts = None, {}
         for w, c in dict(terms).items():
+            if w.alphabet != alphabet:
+                raise AlphabetMismatchError(f"word {w} is not over the polynomial's alphabet")
             f, n, d = _numerator(c)
             if n:
                 field = _join_fields(field, f)

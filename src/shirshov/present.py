@@ -16,11 +16,13 @@ two-sided inverse relations.
 A ``lie`` file is a multiplication table over Q: each ``bracket x_i x_j``
 line gives [x_i, x_j] as a linear combination of the generators, and a
 bracket the file leaves out is 0.  Its relations are the expansions
-x_i·x_j - x_j·x_i - [x_i, x_j], one per pair i > j.  A ``Presentation``
-built directly stores the table as ((i, j), rhs) entries and is held to
-the file's rules by its constructor.  A table over GF(p)
+x_i·x_j - x_j·x_i - [x_i, x_j], one per pair i > j.  A table over GF(p)
 has no file syntax; build its relations with ``expand_bracket`` on
 ``LieTerm`` combinations with ``prime_field(p)`` coefficients.
+
+Each kind reads its relation lines with one line reader, and each entry
+passes the per-entry check that a ``Presentation`` built directly passes, of
+any kind; the parser's errors name the line, the constructor's the entry.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .complete import (
     STATUS_COMPLETE,
     shirshov_complete,
 )
-from .ncpoly import NAME, NcPolynomial, PolyParseError, parse_poly
+from .ncpoly import NAME, NcPolynomial, parse_poly
 from .rewrite import RuleSet, irr_counts, rewrite_word
 from .words import Alphabet, Word, _trusted_word, deglex_key
 
@@ -81,8 +83,16 @@ class Presentation:
     relations: tuple  # kind-specific, see to_algebra_relations
 
     def __post_init__(self):
-        if self.kind == "lie":
-            _check_brackets(self.alphabet, self.relations)
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}")
+        seen: set = set()
+        for entry in self.relations:
+            try:
+                _check_entry(self.kind, self.alphabet, entry, seen)
+            except (TypeError, ValueError) as exc:
+                name = f"({', '.join(map(str, entry))})" if isinstance(entry, tuple) else entry
+                fault = " is not ((i, j), rhs)" if isinstance(exc, TypeError) else f": {exc}"
+                raise ValueError(f"relation {name}{fault}") from None
 
     @property
     def base_generators(self) -> tuple[str, ...]:
@@ -107,26 +117,33 @@ class Presentation:
         return "\n".join(lines) + "\n"
 
 
-def _check_brackets(alphabet: Alphabet, relations: tuple) -> None:
-    """A lie presentation's entries keep the file's rules, or ValueError names the entry:
-    each is ((i, j), rhs) for alphabet indices i > j, each pair once, with rhs a
-    polynomial over the alphabet that is linear in the generators."""
-    seen = set()
-    for entry in relations:
-        try:
-            (i, j), rhs = entry
-        except (TypeError, ValueError):
-            raise ValueError(f"bracket entry {entry!r} is not ((i, j), rhs)") from None
-        name = f"bracket entry (({i!r}, {j!r}), {rhs})"
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= j < i < len(alphabet)):
-            raise ValueError(f"{name}: (i, j) must be alphabet indices with i > j")
-        if (i, j) in seen:
-            raise ValueError(f"{name}: duplicate bracket entry")
-        seen.add((i, j))
-        if not isinstance(rhs, NcPolynomial) or rhs.alphabet != alphabet:
-            raise ValueError(f"{name}: the right side must be a polynomial over the alphabet")
+def _check_entry(kind: str, alphabet: Alphabet, entry, seen: set) -> None:
+    """The check the parser runs on each relation line and the constructor on each entry:
+    ValueError unless entry is a polynomial over the alphabet, a pair of words over it, or
+    a lie ((i, j), rhs) whose pair passes ``_check_pair`` and is new to seen, rhs linear."""
+    if kind == "algebra":
+        if not (isinstance(entry, NcPolynomial) and entry.alphabet == alphabet):
+            raise ValueError("must be a polynomial over the alphabet")
+    elif kind == "lie":
+        (i, j), rhs = entry  # a TypeError here names an entry of another shape
+        _check_pair(i, j, len(alphabet))
+        if not (isinstance(rhs, NcPolynomial) and rhs.alphabet == alphabet):
+            raise ValueError("the right side must be a polynomial over the alphabet")
         if any(n != 1 for n, _ in rhs.ints):
-            raise ValueError(f"{name}: the right side must be linear in the generators")
+            raise ValueError("bracket right side must be linear in the generators")
+        if (i, j) in seen:
+            raise ValueError("duplicate bracket entry")
+        seen.add((i, j))
+    elif not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], Word)
+              and isinstance(entry[1], Word) and entry[0].alphabet == entry[1].alphabet == alphabet):
+        raise ValueError("must be a pair of words over the alphabet")
+
+
+def _check_pair(i, j, n: int) -> None:
+    if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < n and 0 <= j < n):
+        raise ValueError("(i, j) must be alphabet indices")
+    if i <= j:
+        raise ValueError("left side must list the precedence-greater generator first")
 
 
 def _word_src(w: Word) -> str:
@@ -195,57 +212,37 @@ def parse_presentation(text: str) -> Presentation:
         raise PresentationError(f"duplicate generator {dup!r}", gen_line)
     alphabet = Alphabet(symbols)
 
-    if kind == "algebra":
-        rels = []
-        for lineno, line in relation_lines:
-            try:
-                rels.append(parse_poly(line, alphabet))
-            except (PolyParseError, KeyError) as exc:
-                raise PresentationError(exc.args[0], lineno) from exc
-        return Presentation(kind, alphabet, tuple(rels))
-
-    if kind == "lie":
-        table: dict[tuple[int, int], NcPolynomial] = {}
-        for lineno, line in relation_lines:
-            parts = line.split("=", 1)
-            if len(parts) != 2 or not parts[1].strip():
-                raise PresentationError("expected 'bracket i j = linear combination'", lineno)
-            head = parts[0].split()
-            if len(head) != 3 or head[0] != "bracket":
-                raise PresentationError("expected 'bracket i j = ...'", lineno)
-            try:
-                i = alphabet.index(head[1])
-                j = alphabet.index(head[2])
-            except KeyError as exc:
-                raise PresentationError(exc.args[0], lineno) from exc
-            if i <= j:
-                raise PresentationError(
-                    "left side must list the precedence-greater generator first", lineno
-                )
-            try:
-                rhs = parse_poly(parts[1], alphabet)
-            except (PolyParseError, KeyError) as exc:
-                raise PresentationError(exc.args[0], lineno) from exc
-            if any(n != 1 for n, _ in rhs.ints):
-                raise PresentationError("bracket right side must be linear in the generators", lineno)
-            if (i, j) in table:
-                raise PresentationError("duplicate bracket entry", lineno)
-            table[(i, j)] = rhs
-        return Presentation(kind, alphabet, tuple(sorted(table.items())))
-
-    # monoid / group: word = word
-    rels = []
+    read = {"algebra": parse_poly, "lie": _read_bracket}.get(kind, _read_equation)
+    rels, seen = [], set()
     for lineno, line in relation_lines:
-        parts = line.split("=")
-        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise PresentationError("expected 'word = word'", lineno)
         try:
-            u = alphabet.word(parts[0])
-            v = alphabet.word(parts[1])
-        except KeyError as exc:
+            rels.append(read(line, alphabet))
+            _check_entry(kind, alphabet, rels[-1], seen)
+        except (KeyError, ValueError) as exc:
             raise PresentationError(exc.args[0], lineno) from exc
-        rels.append((u, v))
+    if kind == "lie":
+        rels.sort(key=lambda entry: entry[0])
     return Presentation(kind, alphabet, tuple(rels))
+
+
+def _read_bracket(line: str, alphabet: Alphabet) -> tuple:
+    """A ``bracket x y = rhs`` line as ((i, j), rhs); a faulty pair is named before rhs is read."""
+    left, _, right = line.partition("=")
+    head = left.split()
+    if not right.strip():
+        raise ValueError("expected 'bracket i j = linear combination'")
+    if len(head) != 3 or head[0] != "bracket":
+        raise ValueError("expected 'bracket i j = ...'")
+    i, j = alphabet.index(head[1]), alphabet.index(head[2])
+    _check_pair(i, j, len(alphabet))
+    return (i, j), parse_poly(right, alphabet)
+
+
+def _read_equation(line: str, alphabet: Alphabet) -> tuple[Word, Word]:
+    sides = line.split("=")
+    if len(sides) != 2 or not sides[0].strip() or not sides[1].strip():
+        raise ValueError("expected 'word = word'")
+    return alphabet.word(sides[0]), alphabet.word(sides[1])
 
 
 # ---------------------------------------------------------------------------

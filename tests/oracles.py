@@ -129,6 +129,16 @@ def all_monotone_alsw_factorizations(w: Word):
     return results
 
 
+def reference_lsw_bracket(w: Word) -> str:
+    """The standard bracketing of an ALSW as text like ``[b,[b,a]]``: the cuts are
+    scanned from the left for the first, and so longest, proper suffix that is
+    rotation-maximal, and both sides are bracketed the same way."""
+    if len(w) == 1:
+        return w.alphabet.symbols[w.letters[0]]
+    cut = next(c for c in range(1, len(w)) if rotation_maximal(w.letters[c:]))
+    return f"[{reference_lsw_bracket(w[:cut])},{reference_lsw_bracket(w[cut:])}]"
+
+
 def congruence_classes(alphabet: Alphabet, relations, max_len: int):
     """Partition of all words of length <= max_len by closure of relation
     applications (both directions, all positions).  Relations are (u, v)

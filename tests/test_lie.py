@@ -38,6 +38,7 @@ from oracles import (
     lie_source,
     necklace_count,
     product_series,
+    reference_lsw_bracket,
     reference_pbw_basis,
     rotation_maximal,
 )
@@ -140,6 +141,14 @@ class TestLswBracket:
     def test_rejects_non_alsw(self):
         with pytest.raises(NotAlswError):
             lsw_bracket(BA.word("ab"))
+
+    def test_matches_suffix_scan_oracle(self):
+        # every ALSW to length 10 over 2 letters and to length 7 over 3
+        for alphabet, nmax in ((BA, 10), (ABC, 7)):
+            for n in range(1, nmax + 1):
+                for w in all_words(alphabet, n):
+                    if rotation_maximal(w.letters):
+                        assert str(lsw_bracket(w)) == reference_lsw_bracket(w), w
 
     def test_triangularity_up_to_8(self):
         for n in range(1, 9):
@@ -445,8 +454,8 @@ class TestPbwDifferential:
         periods = []
         step = lie._duval_step
 
-        def counted(w, p, x):
-            periods.append(step(w, p, x))
+        def counted(*args):
+            periods.append(step(*args))
             return periods[-1]
 
         monkeypatch.setattr(lie, "_duval_step", counted)

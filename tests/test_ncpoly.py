@@ -344,6 +344,15 @@ class TestIntegerForm:
         with pytest.raises(TypeError, match="cannot mix"):
             NcPolynomial(AB, {AB.word("x y"): first, AB.word("x"): second})
 
+    def test_words_over_another_alphabet_are_refused(self):
+        # a letter index past x y would fail completion later, and letters
+        # over u v would silently read as x and y
+        XYZ, UV = Alphabet(("x", "y", "z")), Alphabet(("u", "v"))
+        for terms in ({XYZ.word("z"): 1}, {UV.word("v u"): 1, UV.word("u"): -1}, {XYZ.word("x"): 0}):
+            with pytest.raises(AlphabetMismatchError, match="is not over the polynomial's alphabet"):
+                NcPolynomial(AB, terms)
+        assert NcPolynomial(Alphabet(("x", "y")), {AB.word("y x"): 1}) == P("y*x")
+
     def test_terms_are_read_only(self):
         f = P("x*y - 1/2")
         with pytest.raises(TypeError):

@@ -50,8 +50,9 @@ from oracles import (
 BICYCLIC_SRC = "kind: monoid\ngenerators: q p\nrelations:\n  p q = 1\n"
 LIE_HEAD = "kind: lie\ngenerators: x y z\nrelations:\n"
 ALGEBRA_HEAD = "kind: algebra\ngenerators: x y\nrelations:\n"
-# (source, line, message): one case per parser rejection branch; a missing
-# header has no line to name
+MONOID_HEAD = "kind: monoid\ngenerators: a b\nrelations:\n"
+# (source, line, message): one case per parser rejection branch, and for a
+# line with two faults the one named first; a missing header has no line to name
 PARSE_ERRORS = [
     pytest.param("generators: a\nrelations:\n  a = a\n", None, "missing 'kind:' header", id="no-kind"),
     pytest.param("kind: monoid\nrelations:\n  a = a\n", None, "missing 'generators:' header", id="no-generators"),
@@ -95,6 +96,22 @@ PARSE_ERRORS = [
     pytest.param(
         LIE_HEAD + "  bracket y x = z\n  bracket z x = 0\n  bracket y x = 0\n", 6, "duplicate bracket entry",
         id="lie-duplicate",
+    ),
+    pytest.param(
+        LIE_HEAD + "  bracket x y = z +\n", 4, "left side must list the precedence-greater generator first",
+        id="lie-order-before-right",
+    ),
+    pytest.param(
+        LIE_HEAD + "  bracket y x = z\n  bracket y x = z*z\n", 5,
+        "bracket right side must be linear in the generators",
+        id="lie-linear-before-duplicate",
+    ),
+    pytest.param(MONOID_HEAD + "  a = b = a\n", 4, "expected 'word = word'", id="monoid-two-equals"),
+    pytest.param(MONOID_HEAD + "  a =\n", 4, "expected 'word = word'", id="monoid-empty-right"),
+    pytest.param(MONOID_HEAD + "  = a\n", 4, "expected 'word = word'", id="monoid-empty-left"),
+    pytest.param(MONOID_HEAD + "  a b\n", 4, "expected 'word = word'", id="monoid-no-equals"),
+    pytest.param(
+        "kind: group\ngenerators: a b\nrelations:\n  a c = 1\n", 4, "unknown generator 'c'", id="group-unknown"
     ),
     pytest.param(ALGEBRA_HEAD + "  x y\n", 4, "missing '+', '-' or '*' before 'y'", id="algebra-juxtaposed"),
     pytest.param(ALGEBRA_HEAD + "  x + + y\n", 4, "empty term", id="algebra-empty-term"),
@@ -346,6 +363,29 @@ class TestToAlgebraRelations:
         p = Presentation("lie", A, (((1, 0), z),))
         assert parse_presentation(p.source()) == p
         assert to_algebra_relations(p) == to_algebra_relations(catalog("heisenberg-3"))
+
+    def test_built_directly_keeps_the_file_rules(self):
+        # an unknown kind, or an entry no file of its kind could hold, raises
+        # naming it, rather than reading as a free monoid or printing a line
+        # that does not parse
+        A, B = Alphabet(("x", "y")), Alphabet(("x", "y", "z"))
+        with pytest.raises(ValueError, match="^unknown kind 'kidney'$"):
+            Presentation("kidney", A, ())
+        words = "must be a pair of words over the alphabet$"
+        bad = [
+            ("monoid", ((B.word("z"), B.word("x")),), r"^relation \(z, x\): " + words),
+            ("group", ((A.word("x"), B.word("x")),), r"^relation \(x, x\): " + words),
+            ("monoid", ((A.word("x"),),), r"^relation \(x\): " + words),
+            ("monoid", (("x", "y"),), r"^relation \(x, y\): " + words),
+            ("monoid", (A.word("x y"),), "^relation xy: " + words),
+            ("algebra", (parse_poly("z", B),), "^relation z: must be a polynomial over the alphabet$"),
+            ("algebra", (A.word("x"),), "^relation x: must be a polynomial over the alphabet$"),
+        ]
+        for kind, relations, message in bad:
+            with pytest.raises(ValueError, match=message):
+                Presentation(kind, A, relations)
+        p = Presentation("algebra", A, (parse_poly("y*x - 1", Alphabet(("x", "y"))),))
+        assert parse_presentation(p.source()) == p
 
     def test_omitted_brackets_are_zero(self):
         src = "kind: lie\ngenerators: x y z\nrelations:\n  bracket y x = z\n"
