@@ -21,8 +21,9 @@ has no file syntax; build its relations with ``expand_bracket`` on
 ``LieTerm`` combinations with ``prime_field(p)`` coefficients.
 
 Each kind reads its relation lines with one line reader, and each entry
-passes the per-entry check that a ``Presentation`` built directly passes, of
-any kind; the parser's errors name the line, the constructor's the entry.
+passes, once, the per-entry check that a ``Presentation`` built directly
+passes, of any kind; the parser's errors name the line, the constructor's
+the entry.
 """
 
 from __future__ import annotations
@@ -222,7 +223,16 @@ def parse_presentation(text: str) -> Presentation:
             raise PresentationError(exc.args[0], lineno) from exc
     if kind == "lie":
         rels.sort(key=lambda entry: entry[0])
-    return Presentation(kind, alphabet, tuple(rels))
+    return _trusted_presentation(kind, alphabet, tuple(rels))
+
+
+def _trusted_presentation(kind: str, alphabet: Alphabet, relations: tuple) -> Presentation:
+    """A Presentation whose entries already passed ``_check_entry``, built
+    without the constructor's second pass over them."""
+    p = object.__new__(Presentation)
+    for name, value in (("kind", kind), ("alphabet", alphabet), ("relations", relations)):
+        object.__setattr__(p, name, value)
+    return p
 
 
 def _read_bracket(line: str, alphabet: Alphabet) -> tuple:

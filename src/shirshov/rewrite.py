@@ -30,12 +30,15 @@ def _max_steps() -> int:
 
 class RuleSet:
     """An ordered set of monic rewrite rules s, read as s_lead -> s_lead - s:
-    ``S[i]`` is rule i, ``leads``, ``tails`` and ``actions`` its parts as the
-    kernels read them."""
+    ``S[i]`` is rule i, ``leads``, ``lead_strs``, ``tails`` and ``actions``
+    its parts as the kernels read them."""
 
     def __init__(self, rules=()):
         self.rules: list[NcPolynomial] = []
         self.leads: list[tuple[int, ...]] = []
+        # per rule, its lead as a str of one chr per letter, which compositions'
+        # pair test searches in C: tuples have no factor search
+        self.lead_strs: list[str] = []
         # per rule, (L, (u, ...), (n, ...)): the rule is (L·lead + sum n·u)/L
         # in ints, u running over the tail's letters (over GF(p), L is 1)
         self.tails: list[tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]] = []
@@ -69,6 +72,7 @@ class RuleSet:
         idx = len(self.leads)
         self.rules.append(rule)
         self.leads.append(lead)
+        self.lead_strs.append("".join(map(chr, lead)))
         us = tuple(u for _, u in tail)
         self.tails.append((rule.den, us, tuple(rule.ints.values())[1:]))
         self.actions.append((len(lead) - 1, us[0][::-1] if us else None))

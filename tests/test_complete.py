@@ -39,6 +39,8 @@ from shirshov.rewrite import _reduce_ints, irr_counts
 
 from oracles import (
     DictPoly,
+    brute_inclusions,
+    brute_intersections,
     nested_lead,
     random_ideal_element,
     reference_complete,
@@ -142,44 +144,80 @@ class TestCompositionsAgainstReference:
     the polynomial formula, for the same compositions in the same order."""
 
     @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
-    def test_same_sequence_and_values(self, field):
+    def test_same_sequence_and_values(self, field, monkeypatch):
         rng = random.Random(4127)
-        AB = Alphabet(("x", "y"))
+        # a pair that passes the lead test is scanned for intersections
+        # first, so a pair with no scan was rejected: over 4 to 6 letters
+        # many are, and each must have no reference composition
+        scans = []
+        intersections = complete._intersections
+        monkeypatch.setattr(complete, "_intersections", lambda u, v: scans.append(u) or intersections(u, v))
         # inclusions of either orientation: the first rule's lead holds the
         # second's (i_holds_j), or the reverse; equal_length: compositions of
         # distinct leads of equal length
         seen = {"intersection": 0, "inclusion": 0, "self": 0, "equal_leads": 0,
-                "i_holds_j": 0, "j_holds_i": 0, "equal_length": 0}
-        for trial in range(300):
-            f = _random_rule(rng, AB, field)
-            if trial % 3 == 0:
-                g = _random_rule(rng, AB, field, lead=f.leading()[0].letters)
-            else:
-                g = _random_rule(rng, AB, field)
-            for s1, s2, i, j in ((f, g, 0, 1), (g, f, 3, 2), (f, f, 0, 0), (g, g, 1, 1)):
-                comps = compositions(RuleSet([f, g, f, g]), i, j)
-                got = [
-                    (c.source, c.overlap.kind, c.overlap.a, c.overlap.b,
-                     c.w.letters, list(c.value.terms.items()))
-                    for c in comps
-                ]
-                want = [
-                    (source, kind, a, b, w, list(value.terms.items()))
-                    for source, kind, a, b, w, value in reference_compositions(s1, s2, i, j)
-                ]
-                assert got == want
-                u, v = s1.leading()[0].letters, s2.leading()[0].letters
-                for entry in got:
-                    seen[entry[1]] += 1
-                    if i == j:
-                        seen["self"] += 1
-                    elif entry[2] == entry[3] == ():
-                        seen["equal_leads"] += 1
-                    elif entry[1] == "inclusion":
-                        seen["i_holds_j" if entry[0] == (i, j) else "j_holds_i"] += 1
-                    if u != v and len(u) == len(v):
-                        seen["equal_length"] += 1
+                "i_holds_j": 0, "j_holds_i": 0, "equal_length": 0, "rejected": 0}
+        for letters in ("xy", "wxyz", "vwxyz", "uvwxyz"):
+            AB = Alphabet(tuple(letters))
+            for trial in range(300):
+                f = _random_rule(rng, AB, field)
+                if trial % 3 == 0:
+                    g = _random_rule(rng, AB, field, lead=f.leading()[0].letters)
+                else:
+                    g = _random_rule(rng, AB, field)
+                for s1, s2, i, j in ((f, g, 0, 1), (g, f, 3, 2), (f, f, 0, 0), (g, g, 1, 1)):
+                    scans.clear()
+                    comps = compositions(RuleSet([f, g, f, g]), i, j)
+                    got = [
+                        (c.source, c.overlap.kind, c.overlap.a, c.overlap.b,
+                         c.w.letters, list(c.value.terms.items()))
+                        for c in comps
+                    ]
+                    want = [
+                        (source, kind, a, b, w, list(value.terms.items()))
+                        for source, kind, a, b, w, value in reference_compositions(s1, s2, i, j)
+                    ]
+                    assert got == want
+                    if not scans:
+                        assert want == []
+                        seen["rejected"] += 1
+                    u, v = s1.leading()[0].letters, s2.leading()[0].letters
+                    for entry in got:
+                        seen[entry[1]] += 1
+                        if i == j:
+                            seen["self"] += 1
+                        elif entry[2] == entry[3] == ():
+                            seen["equal_leads"] += 1
+                        elif entry[1] == "inclusion":
+                            seen["i_holds_j" if entry[0] == (i, j) else "j_holds_i"] += 1
+                        if u != v and len(u) == len(v):
+                            seen["equal_length"] += 1
         assert min(seen.values()) > 50, seen
+
+    def test_overlaps_match_brute_force(self):
+        # seeded lead pairs over 4 to 6 letters, most of which cannot
+        # overlap: compositions of monomials find exactly the overlaps a
+        # scan of every offset finds, in the documented order
+        rng = random.Random(4137)
+        empty = 0
+        for trial in range(2000):
+            A = Alphabet(tuple("uvwxyz"[: rng.randint(4, 6)]))
+            u = Word(A, [rng.randrange(len(A)) for _ in range(rng.randint(1, 6))])
+            v = u if trial % 7 == 0 else Word(A, [rng.randrange(len(A)) for _ in range(rng.randint(1, 6))])
+            leads = (u, v)
+            S = RuleSet([NcPolynomial.monomial(u), NcPolynomial.monomial(v)])
+            for i, j in ((0, 1), (1, 0), (0, 0), (1, 1)):
+                f, g = leads[i], leads[j]
+                want = [((i, j), "intersection", a, b) for a, b in reversed(brute_intersections(f, g))]
+                if i != j:
+                    want += [((j, i), "intersection", a, b) for a, b in reversed(brute_intersections(g, f))]
+                    want += [((i, j), "inclusion", a, b) for a, b in brute_inclusions(f, g)]
+                    want += [((j, i), "inclusion", a, b) for a, b in brute_inclusions(g, f)]
+                    want += [((i, j), "inclusion", (), ())] if f == g else []
+                got = [(c.source, c.overlap.kind, c.overlap.a, c.overlap.b) for c in compositions(S, i, j)]
+                assert got == want, (f, g)
+                empty += not want
+        assert empty > 2000, empty
 
     @pytest.mark.parametrize("field", [Fraction, prime_field(32003)], ids=["Q", "GF32003"])
     def test_fractional_coefficients(self, field):

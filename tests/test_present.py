@@ -25,7 +25,7 @@ from shirshov import (
     to_algebra_relations,
     word_problem,
 )
-from shirshov import complete
+from shirshov import complete, present
 from shirshov.complete import STATUS_COMPLETE, STATUS_UNIT_IDEAL, CompletionConfig, CompletionResult
 from shirshov.present import (
     CATALOG_NAMES,
@@ -231,6 +231,19 @@ class TestParsePresentation:
             parse_presentation(src)
         assert exc.value.line == line
         assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+    @pytest.mark.parametrize("name", ["chinese-4", "sl2", "heisenberg-3", "group"])
+    def test_each_relation_line_checked_once(self, name, monkeypatch):
+        # the parser checks each entry as it reads the line; the presentation
+        # it returns is not checked again by the constructor
+        src = catalog(name).source() if name != "group" else "kind: group\ngenerators: a b\nrelations:\n  a a = 1\n  b = b\n"
+        lines = src.split("relations:\n", 1)[1].splitlines()
+        checked = []
+        check = present._check_entry
+        monkeypatch.setattr(present, "_check_entry", lambda *args: checked.append(args[2]) or check(*args))
+        p = parse_presentation(src)
+        assert len(checked) == len(lines) == len(p.relations)
+        assert p == Presentation(p.kind, p.alphabet, p.relations)
 
     def test_algebra_source_round_trip(self):
         # fractions and a constant term render back to what parses to the same relations
@@ -638,9 +651,10 @@ class TestClosedFormGrowth:
     tableaux over n letters (Cassaigne et al., IJAC 2001; Knuth 1970), whose
     series by Littlewood's identity is (1 - t)^-n (1 - t^2)^-n(n-1)/2: an
     end-to-end check of completion, the lead automaton and irr_counts at ranks
-    congruence_classes cannot reach."""
+    congruence_classes cannot reach.  chinese-8 has 224 rules over 8 letters,
+    and compositions' lead test rejects most of their pairs before any scan."""
 
-    @pytest.mark.parametrize("name", ["chinese-3", "chinese-4", "chinese-5", "chinese-6", "plactic-3"])
+    @pytest.mark.parametrize("name", ["chinese-3", "chinese-4", "chinese-5", "chinese-6", "chinese-8", "plactic-3"])
     def test_growth_to_length_12(self, name):
         n = int(name.rsplit("-", 1)[1])
         p = _chinese(n) if n > 4 else catalog(name)
